@@ -8,7 +8,7 @@ Usage: python scripts/bisep_scan.py [--n-max 5] [--restarts 20] [--seed 0]
 """
 import argparse
 
-from stabwit import build_witness, certify
+from stabwit import FAMILIES, build_witness, certify
 
 
 def main() -> None:
@@ -18,7 +18,7 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    for family in ("ghz", "cluster"):
+    for family in FAMILIES:
         for n in range(2, args.n_max + 1):
             report = certify(build_witness(family, n),
                              restarts=args.restarts, seed=args.seed)

@@ -7,7 +7,7 @@ Usage: python scripts/noise_table.py [--n-max 12]
 """
 import argparse
 
-from stabwit import noise_threshold
+from stabwit import FAMILIES, noise_threshold
 
 
 def main() -> None:
@@ -18,7 +18,7 @@ def main() -> None:
     ns = range(2, args.n_max + 1)
     print("N        " + "".join(f"{n:>9d}" for n in ns))
     worst_gap = 0.0
-    for family in ("ghz", "cluster"):
+    for family in FAMILIES:
         reports = [noise_threshold(family, n) for n in ns]
         worst_gap = max(worst_gap,
                         *(abs(r.p_closed_form - r.p_root_find) for r in reports))

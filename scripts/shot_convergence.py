@@ -11,6 +11,7 @@ import argparse
 import numpy as np
 
 from stabwit import (
+    FAMILIES,
     estimate_witness,
     noisy_target_expectation,
     sample_outcomes,
@@ -31,7 +32,7 @@ def main() -> None:
 
     print(f"n={args.n}, p_noise={args.p_noise}, {args.seeds} seeds per point")
     print(f"{'family':<9s}{'shots':>9s}{'mean |err|':>14s}{'mean std err':>14s}")
-    for family in ("ghz", "cluster"):
+    for family in FAMILIES:
         state = white_noise_mix(args.p_noise, target_state(family, args.n))
         exact = noisy_target_expectation(family, args.n, args.p_noise)
         setting_a, setting_b = settings_for(family, args.n)

@@ -10,16 +10,11 @@ from .errors import (
     StabwitError,
 )
 from .pauli import (
-    FAMILIES,
-    FAMILY_CLUSTER,
-    FAMILY_GHZ,
     GeneratorSet,
     PauliString,
     cluster_generators,
-    commutes,
     generators_for,
     ghz_generators,
-    multiply,
     subgroup_product,
 )
 from .states import (
@@ -32,6 +27,13 @@ from .states import (
     schmidt_coefficients,
     stabilizer_projector_expectation,
     white_noise_mix,
+)
+from .families import (
+    FAMILIES,
+    FAMILY_CLUSTER,
+    FAMILY_GHZ,
+    Family,
+    get_family,
 )
 from .measurement import (
     CountsTable,
@@ -55,7 +57,6 @@ from .witnesses import (
     noisy_target_expectation,
     settings_count,
     target_state,
-    witness_expectation,
 )
 from .bisep import (
     Bipartition,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, NumericError
 from .pauli import PauliString
-from .states import StateVector
+from .states import StateVector, _apply_raw
 
 PASS_TOLERANCE = 1e-6
 _DEGENERACY_ATOL = 1e-12
@@ -85,16 +85,6 @@ def _split_terms(terms, cut: Bipartition) -> list[tuple[float, PauliString, Paul
             for t, c in terms.items()]
 
 
-def _pauli_apply(p: PauliString, vec: np.ndarray) -> np.ndarray:
-    idx = np.arange(vec.size, dtype=np.int64)
-    src = idx ^ p.x_bits
-    out = vec[src]
-    if p.z_bits:
-        out = out * (1.0 - 2.0 * (np.bitwise_count(src & p.z_bits) & 1))
-    phase = (1, 1j, -1, -1j)[p.phase_exp]
-    return out * phase if phase != 1 else out
-
-
 def _contract(split, fixed: np.ndarray, fixed_side: int, dim: int) -> np.ndarray:
     """Hermitian operator on the free part, with the fixed part's vector
     contracted against each term's factor on its side."""
@@ -102,7 +92,7 @@ def _contract(split, fixed: np.ndarray, fixed_side: int, dim: int) -> np.ndarray
     col = np.arange(dim, dtype=np.int64)
     for coeff, pa, pb in split:
         p_fixed, p_free = (pb, pa) if fixed_side == 1 else (pa, pb)
-        weight = coeff * np.vdot(fixed, _pauli_apply(p_fixed, fixed)).real
+        weight = coeff * np.vdot(fixed, _apply_raw(p_fixed, fixed)).real
         if weight == 0.0:
             continue
         phase = (1, 1j, -1, -1j)[p_free.phase_exp]

@@ -27,6 +27,7 @@ from pathlib import Path
 from . import __version__
 from .bisep import certify
 from .errors import StabwitError
+from .families import FAMILIES
 from .measurement import CountsTable, estimate_witness, sample_outcomes, settings_for
 from .witnesses import build_witness, noise_threshold, noisy_target_expectation
 
@@ -94,9 +95,7 @@ def _default_seed() -> int:
 
 
 def _families(arg: str) -> list[str]:
-    if arg == "both":
-        return ["ghz", "cluster"]
-    return [arg]
+    return list(FAMILIES) if arg == "both" else [arg]
 
 
 def load_reference_table() -> dict:
@@ -126,6 +125,12 @@ def cmd_table(config: RunConfig) -> int:
         raise UsageError(f"table supports n in {TABLE_N_RANGE[0]}..{TABLE_N_RANGE[1]}")
     families = _families(config.family)
     ns = list(range(lo, hi + 1))
+    if config.check:
+        reference = load_reference_table()
+        for fam in families:
+            for n in ns:
+                if str(n) not in reference.get(fam, {}):
+                    raise UsageError(f"no reference value for {fam} n={n}")
     reports = {fam: [noise_threshold(fam, n) for n in ns] for fam in families}
 
     header = "N        " + "".join(f"{n:>7d}" for n in ns)
@@ -136,13 +141,10 @@ def cmd_table(config: RunConfig) -> int:
 
     failed = False
     if config.check:
-        reference = load_reference_table()
         tolerance = reference["tolerance"]
         for fam in families:
             for n, report in zip(ns, reports[fam]):
-                ref = reference[fam].get(str(n))
-                if ref is None:
-                    raise UsageError(f"no reference value for {fam} n={n}")
+                ref = reference[fam][str(n)]
                 ok = abs(report.p_threshold - ref) <= tolerance
                 failed |= not ok
                 print(f"check {fam} n={n}: computed {report.p_threshold:.4f} "
@@ -286,20 +288,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     table = sub.add_parser("table", help="noise-tolerance table")
-    table.add_argument("--family", choices=["ghz", "cluster", "both"], default="both")
+    table.add_argument("--family", choices=[*FAMILIES, "both"], default="both")
     table.add_argument("--n", default="2..10", help="qubit count N or range LO..HI")
     table.add_argument("--check", action="store_true",
                        help="compare against the shipped reference values")
     _output_args(table)
 
     ev = sub.add_parser("eval", help="exact witness value on a noisy target")
-    ev.add_argument("--family", choices=["ghz", "cluster"], required=True)
+    ev.add_argument("--family", choices=list(FAMILIES), required=True)
     ev.add_argument("--n", type=int, required=True)
     ev.add_argument("--p-noise", type=float, default=0.0)
     _output_args(ev)
 
     sim = sub.add_parser("simulate", help="sample the two settings and estimate")
-    sim.add_argument("--family", choices=["ghz", "cluster"], required=True)
+    sim.add_argument("--family", choices=list(FAMILIES), required=True)
     sim.add_argument("--n", type=int)
     sim.add_argument("--p-noise", type=float, default=0.0)
     sim.add_argument("--shots", type=int, default=100000)
@@ -312,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _output_args(sim)
 
     cert = sub.add_parser("certify", help="biseparability certification")
-    cert.add_argument("--family", choices=["ghz", "cluster"], required=True)
+    cert.add_argument("--family", choices=list(FAMILIES), required=True)
     cert.add_argument("--n", type=int, required=True)
     cert.add_argument("--restarts", type=int, default=20)
     cert.add_argument("--seed", type=int)

@@ -13,8 +13,6 @@ aggregate of independent per-shot draws from the outcome distribution.
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,12 +21,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ContractError, DimensionError, DomainError, NumericError
-from .pauli import (
-    FAMILIES,
-    FAMILY_GHZ,
-    PauliString,
-    generators_for,
-)
+from .families import get_family
+from .pauli import PauliString, generators_for
 from .states import NoisyState, State
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
@@ -52,22 +46,38 @@ class MeasurementSetting:
         return self.axes[site - 1]
 
 
+def _setting_generators(family: str, n: int) -> tuple[list[PauliString], list[PauliString]]:
+    """The generators behind each projector, ordered by the setting (A, B)
+    that measures them: setting A measures the projector holding generator 1."""
+    gens = generators_for(family, n).generators
+    sets = get_family(family).projector_sets(n)
+    if 1 not in sets[0]:
+        sets = sets[::-1]
+    return tuple([gens[k - 1] for k in indices] for indices in sets)
+
+
+def _setting_of(n: int, gens: Sequence[PauliString]) -> MeasurementSetting:
+    """The local setting measuring every given generator: at each site, the
+    axis of the letter the generators carry there."""
+    x = z = 0
+    for g in gens:
+        x |= g.x_bits
+        z |= g.z_bits
+    if x & z or x | z != (1 << n) - 1:
+        raise DomainError("the generators do not fix one x or z axis per site")
+    return MeasurementSetting(
+        n, "".join("x" if (x >> (n - site)) & 1 else "z" for site in range(1, n + 1)))
+
+
 def settings_for(family: str, n: int) -> tuple[MeasurementSetting, MeasurementSetting]:
     """The two settings sufficient to evaluate the family's witness.
 
-    GHZ: all-x and all-z.  Cluster: x on odd sites / z on even sites, and
-    the complement.  Setting A measures the first generator (GHZ) or the
-    odd-k generators (cluster); setting B the remaining ones.
+    Each measures one projector's generators (GHZ: all-x and all-z;
+    cluster: x on odd sites / z on even sites, and the complement).
+    Setting A measures the projector that holds the first generator.
     """
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
-    if family == FAMILY_GHZ:
-        return MeasurementSetting(n, "x" * n), MeasurementSetting(n, "z" * n)
-    if family not in FAMILIES:
-        raise DomainError(f"unknown family {family!r}")
-    a = "".join("x" if site % 2 == 1 else "z" for site in range(1, n + 1))
-    b = "".join("z" if c == "x" else "x" for c in a)
-    return MeasurementSetting(n, a), MeasurementSetting(n, b)
+    gens_a, gens_b = _setting_generators(family, n)
+    return _setting_of(n, gens_a), _setting_of(n, gens_b)
 
 
 def setting_measures(setting: MeasurementSetting, p: PauliString) -> bool:
@@ -114,23 +124,6 @@ class CountsTable:
         axes = str(d["setting"])
         return cls(MeasurementSetting(len(axes), axes), int(d["shots"]),
                    {str(k): int(v) for k, v in d["counts"].items()})
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["outcome", "count"])
-        for key, value in sorted(self.counts.items()):
-            writer.writerow([key, int(value)])
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str, setting: MeasurementSetting) -> "CountsTable":
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader, None)
-        if header != ["outcome", "count"]:
-            raise ContractError(f"unexpected CSV header {header!r}")
-        counts = {row[0]: int(row[1]) for row in reader if row}
-        return cls(setting, sum(counts.values()), counts)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
@@ -201,19 +194,9 @@ def correlation_from_counts(table: CountsTable, sites: Iterable[int]) -> float:
     return total / table.shots
 
 
-def _projector_supports(family: str, n: int) -> tuple[list[int], list[int]]:
-    """Support masks of the generators behind each of the two projectors,
-    grouped by the setting (A, B) that measures them."""
-    gens = generators_for(family, n).generators
-    if family == FAMILY_GHZ:
-        return [gens[0].support], [g.support for g in gens[1:]]
-    odd = [gens[k - 1].support for k in range(1, n + 1, 2)]
-    even = [gens[k - 1].support for k in range(2, n + 1, 2)]
-    return odd, even
-
-
-def _pass_fraction_counts(table: CountsTable, supports: Sequence[int]) -> float:
-    """Fraction of shots whose outcome has +1 parity on every support."""
+def _pass_fraction_counts(table: CountsTable, gens: Sequence[PauliString]) -> float:
+    """Fraction of shots whose outcome has +1 parity on every generator's support."""
+    supports = [g.support for g in gens]
     passed = 0
     for key, value in table.counts.items():
         bits = int(key, 2)
@@ -222,11 +205,11 @@ def _pass_fraction_counts(table: CountsTable, supports: Sequence[int]) -> float:
     return passed / table.shots
 
 
-def _pass_probability(dist: np.ndarray, supports: Sequence[int]) -> float:
+def _pass_probability(dist: np.ndarray, gens: Sequence[PauliString]) -> float:
     idx = np.arange(dist.size, dtype=np.int64)
     ok = np.ones(dist.size, dtype=bool)
-    for m in supports:
-        ok &= (np.bitwise_count(idx & m) & 1) == 0
+    for g in gens:
+        ok &= (np.bitwise_count(idx & g.support) & 1) == 0
     return float(dist[ok].sum())
 
 
@@ -234,14 +217,14 @@ def estimate_from_distributions(dist_a: np.ndarray, dist_b: np.ndarray,
                                 family: str, n: int) -> float:
     """Infinite-shot witness value 3 - 2(<P_1> + <P_2>) from exact outcome
     distributions of the two settings."""
-    sup_a, sup_b = _projector_supports(family, n)
-    return 3.0 - 2.0 * (_pass_probability(dist_a, sup_a)
-                        + _pass_probability(dist_b, sup_b))
+    gens_a, gens_b = _setting_generators(family, n)
+    return 3.0 - 2.0 * (_pass_probability(dist_a, gens_a)
+                        + _pass_probability(dist_b, gens_b))
 
 
 @dataclass(frozen=True)
 class WitnessEstimate:
-    """Witness estimate with plug-in (and optionally bootstrap) uncertainty."""
+    """Witness estimate with its plug-in standard error."""
 
     estimate: float
     std_error: float
@@ -249,7 +232,6 @@ class WitnessEstimate:
     pass_freq_b: float
     shots_a: int
     shots_b: int
-    std_error_bootstrap: float | None = None
 
 
 def _check_setting(table: CountsTable, expected: MeasurementSetting, label: str) -> None:
@@ -259,9 +241,8 @@ def _check_setting(table: CountsTable, expected: MeasurementSetting, label: str)
             f"expected {expected.axes!r}")
 
 
-def estimate_witness(counts_a: CountsTable, counts_b: CountsTable, family: str,
-                     bootstrap: bool = False, bootstrap_resamples: int = 1000,
-                     bootstrap_seed: int = 0) -> WitnessEstimate:
+def estimate_witness(counts_a: CountsTable, counts_b: CountsTable,
+                     family: str) -> WitnessEstimate:
     """Unbiased witness estimate from the two settings' counts.
 
     Each projector expectation is the empirical frequency of outcomes whose
@@ -273,52 +254,15 @@ def estimate_witness(counts_a: CountsTable, counts_b: CountsTable, family: str,
     n = counts_a.setting.n
     if counts_b.setting.n != n:
         raise DimensionError("the two counts tables cover different qubit counts")
-    expected_a, expected_b = settings_for(family, n)
-    _check_setting(counts_a, expected_a, "A")
-    _check_setting(counts_b, expected_b, "B")
+    gens_a, gens_b = _setting_generators(family, n)
+    _check_setting(counts_a, _setting_of(n, gens_a), "A")
+    _check_setting(counts_b, _setting_of(n, gens_b), "B")
 
-    sup_a, sup_b = _projector_supports(family, n)
-    p_a = _pass_fraction_counts(counts_a, sup_a)
-    p_b = _pass_fraction_counts(counts_b, sup_b)
+    p_a = _pass_fraction_counts(counts_a, gens_a)
+    p_b = _pass_fraction_counts(counts_b, gens_b)
     var_a = p_a * (1.0 - p_a) / counts_a.shots
     var_b = p_b * (1.0 - p_b) / counts_b.shots
     estimate = 3.0 - 2.0 * (p_a + p_b)
     std_error = float(np.sqrt(4.0 * var_a + 4.0 * var_b))
-
-    boot = None
-    if bootstrap:
-        boot = _bootstrap_std_error(counts_a, counts_b, sup_a, sup_b,
-                                    bootstrap_resamples, bootstrap_seed)
     return WitnessEstimate(estimate, std_error, p_a, p_b,
-                           counts_a.shots, counts_b.shots, boot)
-
-
-def _bootstrap_std_error(counts_a: CountsTable, counts_b: CountsTable,
-                         sup_a: Sequence[int], sup_b: Sequence[int],
-                         resamples: int, seed: int) -> float:
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    values = np.empty(resamples)
-    keys_a, freq_a = _counts_arrays(counts_a)
-    keys_b, freq_b = _counts_arrays(counts_b)
-    ok_a = _pass_vector(keys_a, sup_a)
-    ok_b = _pass_vector(keys_b, sup_b)
-    for r in range(resamples):
-        draw_a = rng.multinomial(counts_a.shots, freq_a)
-        draw_b = rng.multinomial(counts_b.shots, freq_b)
-        p_a = draw_a[ok_a].sum() / counts_a.shots
-        p_b = draw_b[ok_b].sum() / counts_b.shots
-        values[r] = 3.0 - 2.0 * (p_a + p_b)
-    return float(values.std(ddof=1))
-
-
-def _counts_arrays(table: CountsTable) -> tuple[np.ndarray, np.ndarray]:
-    keys = np.array([int(k, 2) for k in sorted(table.counts)], dtype=np.int64)
-    freq = np.array([table.counts[k] for k in sorted(table.counts)], dtype=float)
-    return keys, freq / table.shots
-
-
-def _pass_vector(keys: np.ndarray, supports: Sequence[int]) -> np.ndarray:
-    ok = np.ones(keys.size, dtype=bool)
-    for m in supports:
-        ok &= (np.bitwise_count(keys & m) & 1) == 0
-    return ok
+                           counts_a.shots, counts_b.shots)

@@ -21,10 +21,6 @@ from typing import Iterable, Sequence
 
 from .errors import DimensionError, DomainError
 
-FAMILY_GHZ = "ghz"
-FAMILY_CLUSTER = "cluster"
-FAMILIES = (FAMILY_GHZ, FAMILY_CLUSTER)
-
 # letter -> (x bit, z bit, phase exponent of i in the X^x Z^z normal form)
 _LETTER_BITS = {"I": (0, 0, 0), "X": (1, 0, 0), "Y": (1, 1, 1), "Z": (0, 1, 0)}
 _PHASE_TO_EXP = {1: 0, 1j: 1, -1: 2, -1j: 3}
@@ -130,6 +126,7 @@ class PauliString:
                            self.z_bits ^ other.z_bits, exp)
 
     def commutes(self, other: "PauliString") -> bool:
+        """True iff ab == ba (an even number of anticommuting sites)."""
         if self.n != other.n:
             raise DimensionError(f"qubit counts differ: {self.n} != {other.n}")
         anti = (self.x_bits & other.z_bits).bit_count() \
@@ -140,27 +137,14 @@ class PauliString:
         return _PHASE_PREFIX[self.phase] + self.ops
 
 
-def multiply(a: PauliString, b: PauliString) -> PauliString:
-    """Exact product a*b including the accumulated phase."""
-    return a * b
-
-
-def commutes(a: PauliString, b: PauliString) -> bool:
-    """True iff ab == ba (even number of anticommuting sites)."""
-    return a.commutes(b)
-
-
 @dataclass(frozen=True)
 class GeneratorSet:
-    """The n stabilizer generators of one state family."""
+    """n independent, pairwise commuting stabilizer generators on n qubits."""
 
     n: int
     generators: tuple[PauliString, ...]
-    family: str
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise DomainError(f"unknown family {self.family!r}")
         if len(self.generators) != self.n:
             raise DomainError("need exactly n generators")
         if any(g.n != self.n for g in self.generators):
@@ -198,7 +182,7 @@ def ghz_generators(n: int) -> GeneratorSet:
     gens = [PauliString(n, (1 << n) - 1, 0, 0)]
     for k in range(2, n + 1):
         gens.append(PauliString(n, 0, 0b11 << (n - k), 0))
-    return GeneratorSet(n, tuple(gens), FAMILY_GHZ)
+    return GeneratorSet(n, tuple(gens))
 
 
 def cluster_generators(n: int) -> GeneratorSet:
@@ -215,15 +199,13 @@ def cluster_generators(n: int) -> GeneratorSet:
         if k < n:
             z |= 1 << (n - k - 1)
         gens.append(PauliString(n, x, z, 0))
-    return GeneratorSet(n, tuple(gens), FAMILY_CLUSTER)
+    return GeneratorSet(n, tuple(gens))
 
 
 def generators_for(family: str, n: int) -> GeneratorSet:
-    if family == FAMILY_GHZ:
-        return ghz_generators(n)
-    if family == FAMILY_CLUSTER:
-        return cluster_generators(n)
-    raise DomainError(f"unknown family {family!r}")
+    """Generators of the named family, from its record in ``stabwit.families``."""
+    from .families import get_family  # that module builds its records from this one
+    return get_family(family).generators(n)
 
 
 def subgroup_product(gens: GeneratorSet, subset: int) -> PauliString:

@@ -11,9 +11,7 @@ the pair (p, |psi>) and every expectation decomposes exactly as
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Mapping, Union
 
 import numpy as np
@@ -194,31 +192,3 @@ def schmidt_coefficients(s: StateVector, part_sites: Iterable[int]) -> np.ndarra
     tensor = s.amplitudes.reshape([2] * s.n).transpose(perm)
     matrix = tensor.reshape(1 << len(part), 1 << len(rest))
     return np.linalg.svd(matrix, compute_uv=False)
-
-
-# --- regression fixture I/O -------------------------------------------------
-
-BASIS_ORDER = "qubit1_msb"
-
-
-def state_to_dict(s: StateVector) -> dict:
-    return {
-        "n": s.n,
-        "basis_order": BASIS_ORDER,
-        "amplitudes": [[float(a.real), float(a.imag)] for a in s.amplitudes],
-    }
-
-
-def state_from_dict(d: Mapping) -> StateVector:
-    if d.get("basis_order") != BASIS_ORDER:
-        raise DomainError(f"unsupported basis order {d.get('basis_order')!r}")
-    amps = np.array([complex(re, im) for re, im in d["amplitudes"]])
-    return StateVector(int(d["n"]), amps)
-
-
-def save_state(s: StateVector, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(state_to_dict(s)) + "\n")
-
-
-def load_state(path: str | Path) -> StateVector:
-    return state_from_dict(json.loads(Path(path).read_text()))

@@ -1,21 +1,26 @@
 """Two-setting entanglement witnesses built from stabilizer projectors.
 
-Both families share the shape
+Every family shares the shape
 
     W = 3*1 - 2*(P_1 + P_2)
 
 where P_1 and P_2 project onto the +1 eigenspaces of two commuting subsets
-of the stabilizer generators: {S_1} and {S_2..S_n} for the GHZ family, the
-even-k and odd-k chain generators for the cluster family.  Expanding each
+of the stabilizer generators, as listed in the family's record in
+``stabwit.families``: {S_1} and {S_2..S_n} for the GHZ family, the even-k
+and odd-k chain generators for the cluster family.  Expanding each
 projector as 2^-m * sum over generator subsets gives an explicit Pauli
 decomposition whose every term is measurable within one of two local
 settings.  A negative expectation value certifies entanglement; the value
 on the target state itself is -1.
 
+Exact values on the noisy target never expand W: a projector onto the
+joint +1 eigenspace of m independent generators has trace 2^(n-m), and its
+expectation on the target is one sequential projection of the statevector.
+
 The noise tolerance is the largest white-noise fraction at which the
 expectation on the noisy target is still negative.  Because the noisy
 expectation is affine in the noise fraction, the threshold has the closed
-forms
+forms (stored in the family records)
 
     ghz:      1 / (3 - 4/2^n)
     cluster:  1 / (4 - 2*(2^-floor(n/2) + 2^-ceil(n/2)))
@@ -27,36 +32,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from scipy.optimize import brentq
 
 from .errors import DomainError, NumericError
+from .families import FAMILIES, FAMILY_CLUSTER, FAMILY_GHZ, get_family
 from .measurement import MeasurementSetting, settings_for
-from .pauli import (
-    FAMILIES,
-    FAMILY_CLUSTER,
-    FAMILY_GHZ,
-    GeneratorSet,
-    PauliString,
-    generators_for,
-    subgroup_product,
-)
-from .states import (
-    MAX_QUBITS_DEFAULT,
-    State,
-    StateVector,
-    expectation,
-    make_cluster,
-    make_ghz,
-    stabilizer_projector_expectation,
-    white_noise_mix,
-)
+from .pauli import GeneratorSet, PauliString, generators_for, subgroup_product
+from .states import StateVector, stabilizer_projector_expectation
 
 THRESHOLD_AGREEMENT_ATOL = 1e-9
-# above this size the pure target expectation is evaluated through the
-# projector structure instead of the 2^(n-1)-term Pauli sum
-_TERM_PATH_MAX_QUBITS = 12
 
 
 @dataclass(frozen=True)
@@ -66,7 +52,6 @@ class Witness:
     n: int
     family: str
     terms: Mapping[PauliString, float]
-    settings: tuple[MeasurementSetting, MeasurementSetting]
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
@@ -79,14 +64,18 @@ class Witness:
                                   "into the coefficient")
 
     @property
+    def settings(self) -> tuple[MeasurementSetting, MeasurementSetting]:
+        """The two local settings that measure every term, fixed by (family, n)."""
+        return settings_for(self.family, self.n)
+
+    @property
     def identity_coefficient(self) -> float:
         """Coefficient of the identity term, i.e. tr(W)/2^n."""
         return float(self.terms.get(PauliString.identity(self.n), 0.0))
 
     def negated(self) -> "Witness":
         """Sign-flipped operator; used as a should-fail certification control."""
-        return Witness(self.n, self.family,
-                       {t: -c for t, c in self.terms.items()}, self.settings)
+        return Witness(self.n, self.family, {t: -c for t, c in self.terms.items()})
 
     def to_dict(self) -> dict:
         return {
@@ -101,8 +90,12 @@ class Witness:
     def from_dict(cls, d: Mapping) -> "Witness":
         n = int(d["n"])
         terms = {PauliString.parse(t["string"]): float(t["coeff"]) for t in d["terms"]}
-        settings = tuple(MeasurementSetting(n, axes) for axes in d["settings"])
-        return cls(n, str(d["family"]), terms, settings)
+        w = cls(n, str(d["family"]), terms)
+        expected = [s.axes for s in w.settings]
+        if list(d["settings"]) != expected:
+            raise DomainError(f"settings {list(d['settings'])} contradict {w.family} "
+                              f"n={n}, which is measured with {expected}")
+        return w
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -124,7 +117,7 @@ def _add_term(terms: dict[PauliString, float], p: PauliString, coeff: float) -> 
 
 
 def _expand_projector(terms: dict[PauliString, float], gens: GeneratorSet,
-                      indices: list[int], weight: float) -> None:
+                      indices: Sequence[int], weight: float) -> None:
     """Add weight * prod_{k in indices} (1 + S_k)/2 expanded over subsets."""
     scale = weight / (1 << len(indices))
     for picks in range(1 << len(indices)):
@@ -135,73 +128,42 @@ def _expand_projector(terms: dict[PauliString, float], gens: GeneratorSet,
         _add_term(terms, subgroup_product(gens, mask), scale)
 
 
-def _projector_index_sets(family: str, n: int) -> tuple[list[int], list[int]]:
-    """1-based generator indices behind the two projectors."""
-    if family == FAMILY_GHZ:
-        return [1], list(range(2, n + 1))
-    if family == FAMILY_CLUSTER:
-        return list(range(2, n + 1, 2)), list(range(1, n + 1, 2))
-    raise DomainError(f"unknown family {family!r}")
-
-
-def _build(family: str, n: int) -> Witness:
+def build_witness(family: str, n: int) -> Witness:
+    """3*1 - 2*(P_1 + P_2) with both projectors expanded into Pauli terms."""
     gens = generators_for(family, n)
-    first, second = _projector_index_sets(family, n)
+    first, second = get_family(family).projector_sets(n)
     terms: dict[PauliString, float] = {PauliString.identity(n): 3.0}
     _expand_projector(terms, gens, first, -2.0)
     _expand_projector(terms, gens, second, -2.0)
-    return Witness(n, family, terms, settings_for(family, n))
+    return Witness(n, family, terms)
 
 
 def build_ghz_witness(n: int) -> Witness:
     """3*1 - 2[(S_1 + 1)/2 + prod_{k=2..n} (S_k + 1)/2] as Pauli terms."""
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
-    return _build(FAMILY_GHZ, n)
+    return build_witness(FAMILY_GHZ, n)
 
 
 def build_cluster_witness(n: int) -> Witness:
     """3*1 - 2[prod_{even k} (S_k + 1)/2 + prod_{odd k} (S_k + 1)/2]."""
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
-    return _build(FAMILY_CLUSTER, n)
+    return build_witness(FAMILY_CLUSTER, n)
 
 
-def build_witness(family: str, n: int) -> Witness:
-    if family == FAMILY_GHZ:
-        return build_ghz_witness(n)
-    if family == FAMILY_CLUSTER:
-        return build_cluster_witness(n)
-    raise DomainError(f"unknown family {family!r}")
-
-
-def target_state(family: str, n: int, max_qubits: int = MAX_QUBITS_DEFAULT) -> StateVector:
+def target_state(family: str, n: int) -> StateVector:
     """The pure state the family's witness is built around."""
-    if family == FAMILY_GHZ:
-        return make_ghz(n, max_qubits)
-    if family == FAMILY_CLUSTER:
-        return make_cluster(n, max_qubits)
-    raise DomainError(f"unknown family {family!r}")
-
-
-def witness_expectation(w: Witness, state: State) -> float:
-    """Sum of coeff * <string>; on a noisy state only the identity term
-    survives the noise part."""
-    return expectation(w, state)
+    return get_family(family).target(n)
 
 
 def _projector_traces(family: str, n: int) -> tuple[float, float]:
-    first, second = _projector_index_sets(family, n)
+    first, second = get_family(family).projector_sets(n)
     return float(2 ** (n - len(first))), float(2 ** (n - len(second)))
 
 
-def _structural_target_values(family: str, n: int,
-                              max_qubits: int) -> tuple[float, float]:
+def _structural_target_values(family: str, n: int) -> tuple[float, float]:
     """(identity coefficient of W, pure <W> on the target) without expanding
-    the 2^(n-1) Pauli terms; exact by the projector identity W = 3 - 2(P1+P2)."""
-    target = target_state(family, n, max_qubits)
+    the Pauli terms; exact by the projector identity W = 3 - 2(P1+P2)."""
+    target = target_state(family, n)
     gens = generators_for(family, n)
-    first, second = _projector_index_sets(family, n)
+    first, second = get_family(family).projector_sets(n)
     tr1, tr2 = _projector_traces(family, n)
     dim = float(1 << n)
     identity_coeff = 3.0 - 2.0 * (tr1 + tr2) / dim
@@ -211,20 +173,15 @@ def _structural_target_values(family: str, n: int,
     return identity_coeff, pure
 
 
-def noisy_target_expectation(family: str, n: int, p_noise: float,
-                             max_qubits: int = MAX_QUBITS_DEFAULT) -> float:
+def noisy_target_expectation(family: str, n: int, p_noise: float) -> float:
     """Exact <W> on the family target mixed with white noise at fraction p.
 
-    For n up to 12 this evaluates the full Pauli decomposition; beyond that
-    it uses the algebraically identical projector form (the two routes are
-    pinned against each other in the test suite).
+    Evaluated in the projector form at every n; the test suite pins it
+    against the full Pauli decomposition.
     """
     if not 0.0 <= p_noise <= 1.0:
         raise DomainError(f"noise fraction must lie in [0, 1], got {p_noise}")
-    if n <= _TERM_PATH_MAX_QUBITS:
-        w = build_witness(family, n)
-        return witness_expectation(w, white_noise_mix(p_noise, target_state(family, n, max_qubits)))
-    identity_coeff, pure = _structural_target_values(family, n, max_qubits)
+    identity_coeff, pure = _structural_target_values(family, n)
     return p_noise * identity_coeff + (1.0 - p_noise) * pure
 
 
@@ -254,16 +211,7 @@ class ThresholdReport:
         }
 
 
-def _closed_form_threshold(family: str, n: int) -> float:
-    if family == FAMILY_GHZ:
-        return 1.0 / (3.0 - 4.0 / 2 ** n)
-    if family == FAMILY_CLUSTER:
-        return 1.0 / (4.0 - 2.0 * (2.0 ** -(n // 2) + 2.0 ** -((n + 1) // 2)))
-    raise DomainError(f"unknown family {family!r}")
-
-
-def noise_threshold(family: str, n: int, method: str = "closed_form",
-                    max_qubits: int = MAX_QUBITS_DEFAULT) -> ThresholdReport:
+def noise_threshold(family: str, n: int, method: str = "closed_form") -> ThresholdReport:
     """Largest noise fraction at which the witness still detects the target.
 
     Computes the closed form and, independently, the root of the noisy
@@ -275,15 +223,8 @@ def noise_threshold(family: str, n: int, method: str = "closed_form",
         raise DomainError(f"need n >= 2, got {n}")
     if method not in ("closed_form", "root_find"):
         raise DomainError(f"unknown method {method!r}")
-    closed = _closed_form_threshold(family, n)
-
-    if n <= _TERM_PATH_MAX_QUBITS:
-        w = build_witness(family, n)
-        target = target_state(family, n, max_qubits)
-        identity_coeff = w.identity_coefficient
-        pure = witness_expectation(w, target)
-    else:
-        identity_coeff, pure = _structural_target_values(family, n, max_qubits)
+    closed = get_family(family).closed_form_threshold(n)
+    identity_coeff, pure = _structural_target_values(family, n)
     if pure >= 0.0:
         raise NumericError(f"target expectation {pure} is not negative; no threshold")
     root = float(brentq(lambda p: p * identity_coeff + (1.0 - p) * pure,

@@ -14,6 +14,7 @@ from stabwit import (
     build_witness,
     certify,
     estimate_witness,
+    expectation,
     generators_for,
     make_cluster,
     make_ghz,
@@ -24,7 +25,6 @@ from stabwit import (
     subgroup_product,
     target_state,
     white_noise_mix,
-    witness_expectation,
 )
 from stabwit.states import StateVector, apply_pauli
 
@@ -56,7 +56,7 @@ def test_criterion_2_cluster_noise_row_and_root_find():
     for n, rep in zip(range(2, 11), reports):
         w = build_witness("cluster", n)
         target = target_state("cluster", n)
-        root = brentq(lambda p: witness_expectation(w, white_noise_mix(p, target)),
+        root = brentq(lambda p: expectation(w, white_noise_mix(p, target)),
                       0.0, 1.0, xtol=1e-14)
         route_gaps.append(abs(rep.p_closed_form - root))
     elapsed = time.perf_counter() - start
@@ -71,7 +71,7 @@ def test_criterion_3_target_values():
     worst = 0.0
     for family in ("ghz", "cluster"):
         for n in range(2, 11):
-            value = witness_expectation(build_witness(family, n),
+            value = expectation(build_witness(family, n),
                                         target_state(family, n))
             worst = max(worst, abs(value + 1.0))
     ok = worst < 1e-12
@@ -119,7 +119,7 @@ def test_criterion_6_oracle_equivalence():
         dense = dense_operator_from_terms(w.terms)
         for _ in range(100):
             vec = random_state_vector(rng, 8)
-            term_value = witness_expectation(w, StateVector(8, vec))
+            term_value = expectation(w, StateVector(8, vec))
             dense_value = float((vec.conj() @ dense @ vec).real)
             worst = max(worst, abs(term_value - dense_value))
     ok = worst < 1e-10

@@ -14,7 +14,6 @@ from stabwit import (
     expectation,
     min_over_cut,
     product_state,
-    witness_expectation,
 )
 from stabwit.bisep import _split_terms, see_saw_once
 
@@ -106,7 +105,7 @@ class TestSeeSaw:
         w = build_ghz_witness(3)
         zeros = np.zeros(8)
         zeros[0] = 1.0
-        assert witness_expectation(w, StateVector(3, zeros)) == pytest.approx(0.0)
+        assert expectation(w, StateVector(3, zeros)) == pytest.approx(0.0)
 
     def test_argmin_reproduces_value_independently(self):
         for family in ("ghz", "cluster"):

@@ -44,9 +44,10 @@ class TestTable:
         assert run(["table", "--n", "abc"], capsys)[0] == 2
 
     def test_check_outside_reference_is_usage_error(self, capsys):
-        code, _, err = run(["table", "--check", "--n", "2..12"], capsys)
+        code, out, err = run(["table", "--check", "--n", "2..12"], capsys)
         assert code == 2
-        assert "no reference value" in err
+        assert "no reference value for ghz n=11" in err
+        assert out == ""
 
     def test_check_failure_sets_exit_code(self, capsys, monkeypatch):
         import stabwit.cli as cli

@@ -21,7 +21,6 @@ from stabwit import (
     stabilizer_projector_expectation,
     white_noise_mix,
 )
-from stabwit.states import load_state, save_state, state_from_dict, state_to_dict
 
 from oracles import (
     dense_pauli,
@@ -252,24 +251,3 @@ class TestLocalUnitaryInvariants:
         with pytest.raises(DomainError):
             schmidt_coefficients(make_ghz(3), (0,))
 
-
-class TestStateIO:
-    def test_round_trip(self, tmp_path, rng):
-        state = StateVector(4, random_state_vector(rng, 4))
-        path = tmp_path / "state.json"
-        save_state(state, path)
-        loaded = load_state(path)
-        assert loaded.n == 4
-        assert np.allclose(loaded.amplitudes, state.amplitudes, atol=1e-15)
-
-    def test_dict_schema(self):
-        d = state_to_dict(make_ghz(2))
-        assert d["basis_order"] == "qubit1_msb"
-        assert len(d["amplitudes"]) == 4
-        assert state_from_dict(d).amplitudes[0] == pytest.approx(SQRT1_2)
-
-    def test_rejects_unknown_basis_order(self):
-        d = state_to_dict(make_ghz(2))
-        d["basis_order"] = "qubit1_lsb"
-        with pytest.raises(DomainError):
-            state_from_dict(d)

@@ -13,6 +13,7 @@ from stabwit import (
     build_cluster_witness,
     build_ghz_witness,
     build_witness,
+    expectation,
     make_cluster,
     make_ghz,
     noise_threshold,
@@ -22,7 +23,6 @@ from stabwit import (
     settings_for,
     target_state,
     white_noise_mix,
-    witness_expectation,
 )
 
 from oracles import (
@@ -87,8 +87,12 @@ class TestConstruction:
             assert setting_measures(a, term) or setting_measures(b, term)
 
     def test_settings_metadata(self):
-        assert [s.axes for s in build_ghz_witness(3).settings] == ["xxx", "zzz"]
-        assert [s.axes for s in build_cluster_witness(4).settings] == ["xzxz", "zxzx"]
+        """Settings follow from (family, n) alone, so no terms are needed."""
+        for n in range(2, 21):
+            ghz, cluster = Witness(n, "ghz", {}), Witness(n, "cluster", {})
+            assert [s.axes for s in ghz.settings] == ["x" * n, "z" * n]
+            assert [s.axes for s in cluster.settings] == \
+                [("xz" * n)[:n], ("zx" * n)[:n]]
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -101,33 +105,33 @@ class TestConstruction:
     def test_rejects_negative_phase_terms(self):
         minus = PauliString.from_ops("XX", phase=-1)
         with pytest.raises(DomainError):
-            Witness(2, "ghz", {minus: 1.0}, settings_for("ghz", 2))
+            Witness(2, "ghz", {minus: 1.0})
 
 
 class TestExpectation:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_target_values(self, n):
-        assert abs(witness_expectation(build_ghz_witness(n), make_ghz(n)) + 1.0) < 1e-12
-        assert abs(witness_expectation(build_cluster_witness(n), make_cluster(n)) + 1.0) < 1e-12
+        assert abs(expectation(build_ghz_witness(n), make_ghz(n)) + 1.0) < 1e-12
+        assert abs(expectation(build_cluster_witness(n), make_cluster(n)) + 1.0) < 1e-12
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_all_zeros_gives_zero(self, n):
         zeros = np.zeros(1 << n)
         zeros[0] = 1.0
-        value = witness_expectation(build_ghz_witness(n), StateVector(n, zeros))
+        value = expectation(build_ghz_witness(n), StateVector(n, zeros))
         assert abs(value) < 1e-12
 
     def test_ghz3_full_noise(self):
         noisy = white_noise_mix(1.0, make_ghz(3))
-        assert witness_expectation(build_ghz_witness(3), noisy) == pytest.approx(1.5)
+        assert expectation(build_ghz_witness(3), noisy) == pytest.approx(1.5)
 
     def test_cluster4_maximally_mixed(self):
         noisy = white_noise_mix(1.0, make_cluster(4))
-        assert witness_expectation(build_cluster_witness(4), noisy) == pytest.approx(2.0)
+        assert expectation(build_cluster_witness(4), noisy) == pytest.approx(2.0)
 
     def test_cluster4_at_third_noise(self):
         noisy = white_noise_mix(1.0 / 3.0, make_cluster(4))
-        assert abs(witness_expectation(build_cluster_witness(4), noisy)) < 1e-9
+        assert abs(expectation(build_cluster_witness(4), noisy)) < 1e-9
 
     @pytest.mark.parametrize("family", ["ghz", "cluster"])
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
@@ -137,7 +141,7 @@ class TestExpectation:
         dense = dense_operator_from_terms(w.terms)
         for _ in range(100):
             vec = random_state_vector(rng, n)
-            got = witness_expectation(w, StateVector(n, vec))
+            got = expectation(w, StateVector(n, vec))
             assert got == pytest.approx(dense_expectation(dense, vec), abs=1e-10)
 
     def test_random_states_above_minus_one(self, rng):
@@ -146,7 +150,7 @@ class TestExpectation:
                 w = build_witness(family, n)
                 for _ in range(60):
                     vec = StateVector(n, random_state_vector(rng, n))
-                    assert witness_expectation(w, vec) > -0.999
+                    assert expectation(w, vec) > -0.999
 
 
 class TestProjectorTraces:
@@ -222,7 +226,7 @@ class TestNoiseThreshold:
         library's threshold machinery."""
         w = build_witness(family, n)
         target = target_state(family, n)
-        root = brentq(lambda p: witness_expectation(w, white_noise_mix(p, target)),
+        root = brentq(lambda p: expectation(w, white_noise_mix(p, target)),
                       0.0, 1.0, xtol=1e-14)
         assert noise_threshold(family, n).p_threshold == pytest.approx(root, abs=1e-9)
 
@@ -242,24 +246,16 @@ class TestNoiseThreshold:
 
 
 class TestNoisyTargetExpectation:
-    @pytest.mark.parametrize("family", ["ghz", "cluster"])
-    def test_matches_term_path_at_small_n(self, family):
-        for n in (2, 5, 9):
-            w = build_witness(family, n)
-            state = target_state(family, n)
-            for p in (0.0, 0.3, 0.7, 1.0):
-                want = witness_expectation(w, white_noise_mix(p, state))
-                assert noisy_target_expectation(family, n, p) == pytest.approx(want, abs=1e-12)
-
-    @pytest.mark.parametrize("family,n", [("ghz", 13), ("cluster", 14)])
+    @pytest.mark.parametrize("family,n", [(family, n) for family in ("ghz", "cluster")
+                                          for n in (2, 5, 9, 13, 14)])
     def test_structural_path_matches_term_path(self, family, n):
-        """Above the term-path cutoff the projector evaluation takes over;
-        pin it against the explicit expansion."""
+        """The projector evaluation is the only route; pin it against the
+        explicit Pauli expansion."""
         w = build_witness(family, n)
         state = target_state(family, n)
         for p in (0.0, 0.4, 1.0):
-            want = witness_expectation(w, white_noise_mix(p, state))
-            assert noisy_target_expectation(family, n, p) == pytest.approx(want, abs=1e-11)
+            want = expectation(w, white_noise_mix(p, state))
+            assert noisy_target_expectation(family, n, p) == pytest.approx(want, abs=1e-12)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
@@ -293,6 +289,12 @@ class TestSerialization:
         assert again.terms == dict(w.terms)
         assert again.settings == w.settings
 
+    def test_from_dict_rejects_contradicting_settings(self):
+        d = build_ghz_witness(3).to_dict()
+        d["settings"] = ["zzz", "xxx"]
+        with pytest.raises(DomainError):
+            Witness.from_dict(d)
+
     def test_json_schema_valid(self):
         import jsonschema
         from importlib import resources
@@ -312,4 +314,4 @@ class TestSerialization:
     def test_negated(self):
         w = build_ghz_witness(3)
         neg = w.negated()
-        assert witness_expectation(neg, make_ghz(3)) == pytest.approx(1.0)
+        assert expectation(neg, make_ghz(3)) == pytest.approx(1.0)
