@@ -121,16 +121,37 @@ class CountsTable:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "CountsTable":
-        axes = str(d["setting"])
-        return cls(MeasurementSetting(len(axes), axes), int(d["shots"]),
-                   {str(k): int(v) for k, v in d["counts"].items()})
+        """Build from the JSON form; shots and counts must be JSON integers,
+        never booleans, floats or strings."""
+        if not isinstance(d, Mapping):
+            raise ContractError(f"counts table must be a JSON object, got {type(d).__name__}")
+        missing = [key for key in ("setting", "shots", "counts") if key not in d]
+        if missing:
+            raise ContractError(f"counts table lacks {', '.join(map(repr, missing))}")
+        axes, shots, raw = d["setting"], d["shots"], d["counts"]
+        if not isinstance(axes, str):
+            raise ContractError(f"setting must be a string, got {axes!r}")
+        if type(shots) is not int:
+            raise ContractError(f"shots must be an integer, got {shots!r}")
+        if not isinstance(raw, Mapping):
+            raise ContractError(f"counts must be a JSON object, got {type(raw).__name__}")
+        counts = {k: v for k, v in raw.items() if type(k) is str and type(v) is int}
+        if len(counts) != len(raw):
+            key, value = next((k, v) for k, v in raw.items() if k not in counts)
+            raise ContractError(f"counts must map outcome strings to integers, "
+                                f"got {key!r}: {value!r}")
+        return cls(MeasurementSetting(len(axes), axes), shots, counts)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "CountsTable":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        try:
+            d = json.loads(Path(path).read_text())
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ContractError(f"{path} is not a JSON counts table: {exc}") from None
+        return cls.from_dict(d)
 
 
 def _rotate_to_measurement_basis(amps: np.ndarray, n: int, axes: str) -> np.ndarray:

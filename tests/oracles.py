@@ -3,12 +3,20 @@
 Everything here is built from explicit 2x2 matrices and np.kron, never from
 the package's bitmask algebra, so agreement between the two is meaningful.
 Density matrices are materialised only here and only for small n.
+
+The exceptions are the see-saw references at the end: the per-term
+half-step loop and the key-based eigenvector choice that the vectorised
+see-saw replaced, kept verbatim so that a test can pin the fast path to
+the path it replaces.
 """
 from __future__ import annotations
 
 import itertools
 
 import numpy as np
+
+from stabwit.pauli import PauliString
+from stabwit.states import _apply_raw
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -97,3 +105,46 @@ def cluster_generator_letters(n: int) -> list[str]:
         gens.append("I" * (k - 2) + "ZXZ" + "I" * (n - k - 1))
     gens.append("I" * (n - 2) + "ZX")
     return gens
+
+
+def per_term_split(terms, cut):
+    """(coeff, factor on part A, factor on part B) for every witness term."""
+    def restrict(p, sites):
+        return PauliString.from_ops([p.letter_at(q) for q in sites])
+    return [(float(c), restrict(t, cut.part_a), restrict(t, cut.part_b))
+            for t, c in terms.items()]
+
+
+def per_term_contract(split, fixed, fixed_side, dim):
+    """The see-saw half-step one term at a time: the operator on the free
+    part with the fixed part's vector contracted against each term."""
+    m = np.zeros((dim, dim), dtype=np.complex128)
+    col = np.arange(dim, dtype=np.int64)
+    for coeff, pa, pb in split:
+        p_fixed, p_free = (pb, pa) if fixed_side == 1 else (pa, pb)
+        weight = coeff * np.vdot(fixed, _apply_raw(p_fixed, fixed)).real
+        if weight == 0.0:
+            continue
+        phase = (1, 1j, -1, -1j)[p_free.phase_exp]
+        vals = weight * phase * (1.0 - 2.0 * (np.bitwise_count(col & p_free.z_bits) & 1))
+        m[col ^ p_free.x_bits, col] += vals
+    return m
+
+
+def keyed_minimal_eigvec(m, atol=1e-12):
+    """Smallest eigenpair choosing among degenerate eigenvectors by
+    phase-normalising every candidate and taking the lexicographically
+    first, whether or not there is more than one."""
+    vals, vecs = np.linalg.eigh(m)
+    scale = max(1.0, abs(vals[0]))
+    candidates = []
+    for j in range(len(vals)):
+        if vals[j] - vals[0] > atol * scale:
+            break
+        v = vecs[:, j]
+        nz = np.flatnonzero(np.abs(v) > 1e-12)
+        if nz.size:
+            v = v * (v[nz[0]].conjugate() / abs(v[nz[0]]))
+        candidates.append(v)
+    key = lambda v: tuple(np.round(np.column_stack((v.real, v.imag)).ravel(), 12))
+    return float(vals[0]), min(candidates, key=key)

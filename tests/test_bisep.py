@@ -15,9 +15,14 @@ from stabwit import (
     min_over_cut,
     product_state,
 )
-from stabwit.bisep import _split_terms, see_saw_once
+from stabwit.bisep import _contract, _minimal_eigvec, _split_terms, see_saw_once
 
-from oracles import random_state_vector
+from oracles import (
+    keyed_minimal_eigvec,
+    per_term_contract,
+    per_term_split,
+    random_state_vector,
+)
 
 
 class TestBipartitions:
@@ -74,6 +79,61 @@ class TestProductState:
         cut = Bipartition.from_part_a(3, (1,))
         with pytest.raises(Exception):
             product_state(cut, np.ones(4), np.ones(4))
+
+
+class TestHalfStep:
+    """The tabulated half-step against the per-term loop it replaced."""
+
+    @pytest.mark.parametrize("negate", [False, True])
+    @pytest.mark.parametrize("family", ["ghz", "cluster"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_contract_matches_per_term_loop(self, family, n, negate, rng):
+        w = build_witness(family, n)
+        if negate:
+            w = w.negated()
+        for cut in enumerate_bipartitions(n):
+            table, split = _split_terms(w.terms, cut), per_term_split(w.terms, cut)
+            na, nb = len(cut.part_a), len(cut.part_b)
+            a, b = random_state_vector(rng, na), random_state_vector(rng, nb)
+            got = _contract(table, b, fixed_side=1)
+            want = per_term_contract(split, b, fixed_side=1, dim=1 << na)
+            assert np.max(np.abs(got - want)) <= 1e-12
+            got = _contract(table, a, fixed_side=0)
+            want = per_term_contract(split, a, fixed_side=0, dim=1 << nb)
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_table_size_is_linear_in_terms(self):
+        w = build_cluster_witness(6)
+        for cut in enumerate_bipartitions(6):
+            table = _split_terms(w.terms, cut)
+            assert np.count_nonzero(table.coeffs) == len(w.terms)
+            for side, factors in zip(table.sides, table.coeffs.shape):
+                assert factors <= len(w.terms)
+                assert side.rows.shape == side.vals.shape == (factors, side.dim)
+                assert side.flat.size == side.signed.size == factors * side.dim
+
+    def test_nondegenerate_minimum_matches_keyed_choice(self, rng):
+        for dim in (2, 4, 8, 16):
+            h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            m = h + h.conj().T
+            value, vec = _minimal_eigvec(m)
+            want_value, want_vec = keyed_minimal_eigvec(m)
+            assert value == want_value
+            assert np.array_equal(vec, want_vec)
+
+    def test_degenerate_minimum_is_a_stable_normalised_eigenvector(self, rng):
+        q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+        m = q @ np.diag([-1.0, -1.0, -1.0, 0.5, 1.0, 2.0, 2.5, 3.0]) @ q.conj().T
+        m = (m + m.conj().T) / 2
+        value, vec = _minimal_eigvec(m)
+        assert value == pytest.approx(-1.0, abs=1e-12)
+        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(m @ vec - value * vec)) <= 1e-12
+        lead = vec[np.flatnonzero(np.abs(vec) > 1e-12)[0]]
+        assert lead.imag == 0.0 and lead.real > 0.0
+        again = _minimal_eigvec(m)
+        assert again[0] == value and np.array_equal(again[1], vec)
+        assert np.array_equal(vec, keyed_minimal_eigvec(m)[1])
 
 
 class TestSeeSaw:

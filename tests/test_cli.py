@@ -178,6 +178,44 @@ class TestSimulate:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("text", [
+        '{"setting": "zzz", "shots": 100, "counts": {"000": 5',
+        '["zzz", 100]',
+        '{"shots": 100, "counts": {"000": 100}}',
+        '{"setting": "zzz", "counts": {"000": 100}}',
+        '{"setting": "zzz", "shots": 100}',
+        '{"setting": "zzz", "shots": 100, "counts": "000"}',
+        '{"setting": "zzz", "shots": 100, "counts": {"000": 99.5, "111": 0.5}}',
+        '{"setting": "zzz", "shots": 100, "counts": {"000": 99, "111": true}}',
+        '{"setting": "zzz", "shots": 100, "counts": {"000": "100"}}',
+        '{"setting": "zzz", "shots": "100", "counts": {"000": 100}}',
+    ])
+    def test_malformed_ingest_is_a_clean_error(self, tmp_path, capsys, text):
+        prefix = str(tmp_path / "c")
+        run(["simulate", "--family", "ghz", "--n", "3", "--shots", "100",
+             "--seed", "0", "--counts-out", prefix], capsys)
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code, out, err = run(["simulate", "--family", "ghz",
+                              "--ingest", str(bad), prefix + "_b.json"], capsys)
+        assert code == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert out == ""
+
+    def test_truncated_ingest_in_a_fresh_process(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"setting": "zzz", "shots": 1')
+        proc = subprocess.run(
+            [sys.executable, "-m", "stabwit", "simulate", "--family", "ghz",
+             "--ingest", str(bad), str(bad)],
+            capture_output=True, text=True,
+            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+            cwd=str(resources.files("stabwit").joinpath("../..")))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
     def test_seed_env_default(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("STABWIT_SEED", "123")
         out_path = tmp_path / "env.json"

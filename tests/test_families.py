@@ -1,8 +1,13 @@
 """The family registry is the one place that describes a family."""
 import ast
+import json
+from importlib import resources
 from pathlib import Path
 
+import pytest
+
 import stabwit
+from stabwit.families import FAMILIES
 
 FAMILY_NAMES = {"ghz", "cluster"}
 REGISTRY_MODULE = "families.py"
@@ -29,3 +34,10 @@ def test_family_names_appear_only_in_the_registry():
                       if isinstance(node, ast.Constant) and isinstance(node.value, str)
                       and node.value in FAMILY_NAMES and id(node) not in docs]
     assert offenders == []
+
+
+@pytest.mark.parametrize("schema", ["bisep_report", "threshold_report", "witness"])
+def test_schemas_list_exactly_the_registered_families(schema):
+    doc = json.loads(resources.files("stabwit")
+                     .joinpath(f"schemas/{schema}.schema.json").read_text())
+    assert sorted(doc["properties"]["family"]["enum"]) == sorted(FAMILIES)

@@ -357,3 +357,38 @@ class TestCountsIO:
             CountsTable(setting, 2, {"0x": 2})  # bad characters
         with pytest.raises(DomainError):
             CountsTable(setting, 0, {})
+
+    @pytest.mark.parametrize("d", [
+        ["zz", 2, {"00": 2}],
+        "counts",
+        {"shots": 2, "counts": {"00": 2}},
+        {"setting": "zz", "counts": {"00": 2}},
+        {"setting": "zz", "shots": 2},
+        {"setting": "zz", "shots": 2, "counts": [["00", 2]]},
+        {"setting": ["z", "z"], "shots": 2, "counts": {"00": 2}},
+    ])
+    def test_from_dict_rejects_malformed_structure(self, d):
+        with pytest.raises(ContractError):
+            CountsTable.from_dict(d)
+
+    @pytest.mark.parametrize("shots, counts", [
+        (3, {"000": 2.9, "111": True}),
+        (3, {"000": 2, "111": True}),
+        (3, {"000": 2.0, "111": 1}),
+        (3, {"000": "3"}),
+        (3, {"000": None, "111": 3}),
+        (True, {"000": 1}),
+        (3.0, {"000": 3}),
+        ("3", {"000": 3}),
+    ])
+    def test_from_dict_accepts_only_json_integers(self, shots, counts):
+        with pytest.raises(ContractError):
+            CountsTable.from_dict({"setting": "zzz", "shots": shots, "counts": counts})
+
+    @pytest.mark.parametrize("data", [b'{"setting": "zz", "shots": 2, "coun', b"",
+                                      b"{'a': 1}", b"\xff\xfe\x00"])
+    def test_load_rejects_invalid_json(self, tmp_path, data):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        with pytest.raises(ContractError, match="not a JSON counts table"):
+            CountsTable.load(path)
