@@ -44,14 +44,11 @@ from .measurement import (
     estimate_witness,
     outcome_distribution,
     sample_outcomes,
-    setting_measures,
     settings_for,
 )
 from .witnesses import (
     ThresholdReport,
     Witness,
-    build_cluster_witness,
-    build_ghz_witness,
     build_witness,
     noise_threshold,
     noisy_target_expectation,

@@ -10,6 +10,11 @@ minimisation: fixing the part-B vector turns the witness into a Hermitian
 operator on part A (Pauli terms factor site-wise across any cut), whose
 minimal eigenvector is the optimal part-A state, and vice versa.  Each
 half-step is an exact minimisation, so the value sequence never increases.
+A restart stops once a full sweep moves the value by less than
+SEE_SAW_TOL, or after SEE_SAW_MAX_ITERS sweeps.  A witness passes when no
+cut goes below -PASS_TOLERANCE.  Cut minima within SEE_SAW_TOL of each
+other are ties, and a report names the first tied cut, in enumeration
+order, as its argmin.
 
 Each cut's terms are tabulated once, before any restart, as
 W = sum_{f,g} C[f, g] P_f (x) Q_g over the distinct factors P_f on part A
@@ -32,6 +37,8 @@ from .pauli import PauliString
 from .states import StateVector
 
 PASS_TOLERANCE = 1e-6
+SEE_SAW_TOL = 1e-10
+SEE_SAW_MAX_ITERS = 500
 _DEGENERACY_ATOL = 1e-12
 
 
@@ -197,24 +204,22 @@ class SeeSawTrace:
     history: list[float]
 
 
-def see_saw_once(split: _CutTable, dim_a: int, dim_b: int, init_a: np.ndarray,
-                 init_b: np.ndarray, tol: float = 1e-10,
-                 max_iters: int = 500) -> SeeSawTrace:
+def see_saw_once(split: _CutTable, init_a: np.ndarray, init_b: np.ndarray) -> SeeSawTrace:
     """Alternate exact eigen-minimisation over the two parts until the value
-    moves by less than tol over a full sweep."""
-    if (split.sides[0].dim, split.sides[1].dim) != (dim_a, dim_b):
-        raise DimensionError("part dimensions do not match the cut's table")
+    moves by less than SEE_SAW_TOL over a full sweep."""
+    if (init_a.shape, init_b.shape) != ((split.sides[0].dim,), (split.sides[1].dim,)):
+        raise DimensionError("start vectors do not match the cut's part dimensions")
     a, b = init_a, init_b
     value = float(np.vdot(a, _contract(split, b, fixed_side=1) @ a).real)
     history = [value]
     converged = False
     iterations = 0
-    for iterations in range(1, max_iters + 1):
+    for iterations in range(1, SEE_SAW_MAX_ITERS + 1):
         value_a, a = _minimal_eigvec(_contract(split, b, fixed_side=1))
         history.append(value_a)
         value_b, b = _minimal_eigvec(_contract(split, a, fixed_side=0))
         history.append(value_b)
-        if abs(value_b - value) < tol:
+        if abs(value_b - value) < SEE_SAW_TOL:
             converged = True
             value = value_b
             break
@@ -253,8 +258,7 @@ def _cut_key(cut: Bipartition) -> int:
     return mask
 
 
-def min_over_cut(w, cut: Bipartition, restarts: int = 20, seed: int = 0,
-                 tol: float = 1e-10, max_iters: int = 500) -> CutResult:
+def min_over_cut(w, cut: Bipartition, restarts: int = 20, seed: int = 0) -> CutResult:
     """Best see-saw minimum over random restarts for one bipartition.
 
     The restart r of cut c draws its initial vectors from a Philox stream
@@ -266,13 +270,11 @@ def min_over_cut(w, cut: Bipartition, restarts: int = 20, seed: int = 0,
     if restarts < 1:
         raise DomainError("need at least one restart")
     split = _split_terms(w.terms, cut)
-    dim_a, dim_b = 1 << len(cut.part_a), 1 << len(cut.part_b)
     best: SeeSawTrace | None = None
     for r in range(restarts):
         rng = np.random.Generator(np.random.Philox(seed=[seed, _cut_key(cut), r]))
-        trace = see_saw_once(split, dim_a, dim_b,
-                             _random_unit(rng, dim_a), _random_unit(rng, dim_b),
-                             tol=tol, max_iters=max_iters)
+        init_a, init_b = (_random_unit(rng, side.dim) for side in split.sides)
+        trace = see_saw_once(split, init_a, init_b)
         if best is None or trace.value < best.value:
             best = trace
     return CutResult(cut, best.value, best.state_a, best.state_b,
@@ -287,14 +289,16 @@ class BisepReport:
     n: int
     restarts: int
     seed: int
-    pass_tolerance: float
     cuts: tuple[CutResult, ...]
     global_min: float
     passed: bool
 
     @property
     def argmin_cut(self) -> CutResult:
-        return min(self.cuts, key=lambda c: c.min_value)
+        """The first cut, in enumeration order, whose minimum ties the
+        global minimum within SEE_SAW_TOL; a plain argmin would pick among
+        equal minima by their last-digit rounding."""
+        return next(c for c in self.cuts if c.min_value - self.global_min <= SEE_SAW_TOL)
 
     def to_dict(self) -> dict:
         arg = self.argmin_cut
@@ -303,7 +307,7 @@ class BisepReport:
             "n": self.n,
             "restarts": self.restarts,
             "seed": self.seed,
-            "pass_tolerance": self.pass_tolerance,
+            "pass_tolerance": PASS_TOLERANCE,
             "global_min": self.global_min,
             "passed": self.passed,
             "cuts": [c.to_dict() for c in self.cuts],
@@ -316,11 +320,10 @@ class BisepReport:
         }
 
 
-def certify(w, restarts: int = 20, seed: int = 0, tol: float = 1e-10,
-            pass_tolerance: float = PASS_TOLERANCE) -> BisepReport:
+def certify(w, restarts: int = 20, seed: int = 0) -> BisepReport:
     """Minimise <W> over every bipartition; PASS iff the global minimum is
-    not meaningfully negative."""
-    results = tuple(min_over_cut(w, cut, restarts=restarts, seed=seed, tol=tol)
+    not below -PASS_TOLERANCE."""
+    results = tuple(min_over_cut(w, cut, restarts=restarts, seed=seed)
                     for cut in enumerate_bipartitions(w.n))
     global_min = min(c.min_value for c in results)
     # any expectation is bounded by the L1 norm of the coefficients; a
@@ -329,6 +332,5 @@ def certify(w, restarts: int = 20, seed: int = 0, tol: float = 1e-10,
     if global_min < floor:
         raise NumericError(f"minimum {global_min} below the operator bound {floor}")
     return BisepReport(
-        family=w.family, n=w.n, restarts=restarts, seed=seed,
-        pass_tolerance=pass_tolerance, cuts=results, global_min=global_min,
-        passed=global_min >= -pass_tolerance)
+        family=w.family, n=w.n, restarts=restarts, seed=seed, cuts=results,
+        global_min=global_min, passed=global_min >= -PASS_TOLERANCE)

@@ -25,10 +25,11 @@ from importlib import resources
 from pathlib import Path
 
 from . import __version__
-from .bisep import certify
+from .bisep import PASS_TOLERANCE, certify
 from .errors import StabwitError
 from .families import FAMILIES
 from .measurement import CountsTable, estimate_witness, sample_outcomes, settings_for
+from .states import MAX_QUBITS
 from .witnesses import build_witness, noise_threshold, noisy_target_expectation
 
 SEED_ENV_VAR = "STABWIT_SEED"
@@ -36,7 +37,7 @@ SEED_ENV_VAR = "STABWIT_SEED"
 DETECTION_ATOL = 1e-12
 
 TABLE_N_RANGE = (2, 16)
-EVAL_MAX_QUBITS = 20
+EVAL_MAX_QUBITS = MAX_QUBITS
 CERTIFY_MAX_QUBITS = 12
 
 
@@ -56,7 +57,7 @@ class RunConfig:
     shots: int | None = None
     seed: int | None = None
     restarts: int | None = None
-    fmt: str = "text"
+    fmt: str = "json"
     out: str | None = None
     counts_out: str | None = None
     check: bool = False
@@ -105,15 +106,11 @@ def load_reference_table() -> dict:
 
 
 def _write_record(record: dict, out: str, fmt: str, csv_text: str | None = None) -> None:
+    """Write the record as JSON, or as the CSV text of a command that has
+    one (argparse offers csv only there)."""
     path = Path(out)
-    if fmt == "csv":
-        if csv_text is None:
-            raise UsageError("this command has no CSV record form")
-        path.write_text(csv_text)
-    elif fmt == "json":
-        path.write_text(json.dumps(record, sort_keys=True, indent=2) + "\n")
-    else:
-        raise UsageError(f"--out requires --format json or csv, not {fmt!r}")
+    path.write_text(csv_text if fmt == "csv" else
+                    json.dumps(record, sort_keys=True, indent=2) + "\n")
     print(f"wrote {fmt} record to {path}", file=sys.stderr)
 
 
@@ -265,7 +262,7 @@ def cmd_certify(config: RunConfig) -> int:
         print(f"  cut {cut.cut.label:<15s} min {cut.min_value:+.3e} "
               f"converged {cut.converged}")
     print(f"global minimum {report.global_min:+.3e} "
-          f"(pass tolerance -{report.pass_tolerance:g})")
+          f"(pass tolerance -{PASS_TOLERANCE:g})")
     print("certification:", "PASS" if report.passed else "FAIL")
     if config.out:
         record = {
@@ -292,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
     table.add_argument("--n", default="2..10", help="qubit count N or range LO..HI")
     table.add_argument("--check", action="store_true",
                        help="compare against the shipped reference values")
-    _output_args(table)
+    _output_args(table, ["json", "csv"])
 
     ev = sub.add_parser("eval", help="exact witness value on a noisy target")
     ev.add_argument("--family", choices=list(FAMILIES), required=True)
@@ -324,9 +321,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _output_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", dest="fmt", choices=["text", "json", "csv"],
-                     default="json")
+def _output_args(sub: argparse.ArgumentParser, formats=("json",)) -> None:
+    sub.add_argument("--format", dest="fmt", choices=list(formats), default="json")
     sub.add_argument("--out", help="write the machine record to this path")
 
 

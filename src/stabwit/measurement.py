@@ -10,11 +10,19 @@ Sampling uses the counter-based Philox4x64-10 generator keyed directly by
 the caller's seed, so counts tables reproduce bit-exactly across platforms.
 The counts for one setting are drawn in a single multinomial step, the
 aggregate of independent per-shot draws from the outcome distribution.
+
+Every outcome parity, for the witness estimate from counts or from exact
+distributions and for correlations, is counted by one routine over a 0/1
+outcome matrix with a column per qubit.  A counts table's keys become that
+matrix in one buffer read, so no outcome is packed into a fixed-width
+integer and tables of any width work; shot counts are summed as Python
+integers, so estimates are exact ratios of the counted shots.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -41,9 +49,6 @@ class MeasurementSetting:
             raise DimensionError(f"need {self.n} axes, got {self.axes!r}")
         if any(a not in "xz" for a in self.axes):
             raise DomainError(f"axes must be 'x' or 'z': {self.axes!r}")
-
-    def axis_at(self, site: int) -> str:
-        return self.axes[site - 1]
 
 
 def _setting_generators(family: str, n: int) -> tuple[list[PauliString], list[PauliString]]:
@@ -80,17 +85,6 @@ def settings_for(family: str, n: int) -> tuple[MeasurementSetting, MeasurementSe
     return _setting_of(n, gens_a), _setting_of(n, gens_b)
 
 
-def setting_measures(setting: MeasurementSetting, p: PauliString) -> bool:
-    """True iff every non-identity letter of p matches the setting's axis."""
-    if setting.n != p.n:
-        raise DimensionError(f"setting on {setting.n} qubits, operator on {p.n}")
-    for site in range(1, p.n + 1):
-        letter = p.letter_at(site)
-        if letter != "I" and letter.lower() != setting.axis_at(site):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class CountsTable:
     """Outcome counts for one measurement setting; the experimental record."""
@@ -104,7 +98,7 @@ class CountsTable:
             raise DomainError(f"shots must be positive, got {self.shots}")
         total = 0
         for key, value in self.counts.items():
-            if len(key) != self.setting.n or any(c not in "01" for c in key):
+            if len(key) != self.setting.n or key.strip("01"):
                 raise ContractError(f"bad outcome key {key!r} for n={self.setting.n}")
             if value < 0:
                 raise ContractError(f"negative count for {key!r}")
@@ -192,9 +186,33 @@ def sample_outcomes(state: State, setting: MeasurementSetting,
     probs = outcome_distribution(state, setting)
     rng = np.random.Generator(np.random.Philox(key=seed))
     drawn = rng.multinomial(shots, probs / probs.sum())
-    n = setting.n
-    counts = {format(i, f"0{n}b"): int(c) for i, c in enumerate(drawn) if c}
+    seen = np.flatnonzero(drawn)
+    width = f"0{setting.n}b"
+    counts = dict(zip([format(i, width) for i in seen.tolist()], drawn[seen].tolist()))
     return CountsTable(setting, shots, counts)
+
+
+def _even_parity(outcomes: np.ndarray, supports: Sequence[Sequence[int]]) -> np.ndarray:
+    """For each row of a 0/1 outcome matrix (one column per qubit, qubit 1
+    first): True iff the row has even parity on every support, given as
+    0-based columns."""
+    odd = np.zeros(len(outcomes), dtype=bool)
+    for columns in supports:
+        odd |= (outcomes[:, columns].sum(axis=1) & 1).astype(bool)
+    return ~odd
+
+
+def _even_shots(table: CountsTable, supports: Sequence[Sequence[int]]) -> int:
+    """Shots whose outcome has even parity on every support.  The keys are
+    read as one byte matrix, so no outcome becomes a fixed-width integer
+    and any qubit count works; the sum stays in Python integers."""
+    raw = np.frombuffer("".join(table.counts).encode("ascii"), dtype=np.uint8)
+    even = _even_parity((raw - ord("0")).reshape(-1, table.setting.n), supports)
+    return sum(compress(table.counts.values(), even.tolist()))
+
+
+def _support_columns(gens: Sequence[PauliString]) -> list[list[int]]:
+    return [[q - 1 for q in range(1, g.n + 1) if g.letter_at(q) != "I"] for g in gens]
 
 
 def correlation_from_counts(table: CountsTable, sites: Iterable[int]) -> float:
@@ -205,42 +223,19 @@ def correlation_from_counts(table: CountsTable, sites: Iterable[int]) -> float:
         raise DomainError("need at least one site")
     if chosen[0] < 1 or chosen[-1] > n:
         raise DomainError(f"sites must lie in 1..{n}: {chosen}")
-    mask = 0
-    for q in chosen:
-        mask |= 1 << (n - q)
-    total = 0
-    for key, value in table.counts.items():
-        parity = (int(key, 2) & mask).bit_count() & 1
-        total += -value if parity else value
-    return total / table.shots
-
-
-def _pass_fraction_counts(table: CountsTable, gens: Sequence[PauliString]) -> float:
-    """Fraction of shots whose outcome has +1 parity on every generator's support."""
-    supports = [g.support for g in gens]
-    passed = 0
-    for key, value in table.counts.items():
-        bits = int(key, 2)
-        if all((bits & m).bit_count() & 1 == 0 for m in supports):
-            passed += value
-    return passed / table.shots
-
-
-def _pass_probability(dist: np.ndarray, gens: Sequence[PauliString]) -> float:
-    idx = np.arange(dist.size, dtype=np.int64)
-    ok = np.ones(dist.size, dtype=bool)
-    for g in gens:
-        ok &= (np.bitwise_count(idx & g.support) & 1) == 0
-    return float(dist[ok].sum())
+    even = _even_shots(table, [[q - 1 for q in chosen]])
+    return (2 * even - table.shots) / table.shots
 
 
 def estimate_from_distributions(dist_a: np.ndarray, dist_b: np.ndarray,
                                 family: str, n: int) -> float:
     """Infinite-shot witness value 3 - 2(<P_1> + <P_2>) from exact outcome
     distributions of the two settings."""
-    gens_a, gens_b = _setting_generators(family, n)
-    return 3.0 - 2.0 * (_pass_probability(dist_a, gens_a)
-                        + _pass_probability(dist_b, gens_b))
+    codes = np.arange(1 << n, dtype=">u4").view(np.uint8).reshape(-1, 4)
+    outcomes = np.unpackbits(codes, axis=1)[:, 32 - n:]
+    p_a, p_b = (float(dist[_even_parity(outcomes, _support_columns(gens))].sum())
+                for dist, gens in zip((dist_a, dist_b), _setting_generators(family, n)))
+    return 3.0 - 2.0 * (p_a + p_b)
 
 
 @dataclass(frozen=True)
@@ -279,8 +274,8 @@ def estimate_witness(counts_a: CountsTable, counts_b: CountsTable,
     _check_setting(counts_a, _setting_of(n, gens_a), "A")
     _check_setting(counts_b, _setting_of(n, gens_b), "B")
 
-    p_a = _pass_fraction_counts(counts_a, gens_a)
-    p_b = _pass_fraction_counts(counts_b, gens_b)
+    p_a = _even_shots(counts_a, _support_columns(gens_a)) / counts_a.shots
+    p_b = _even_shots(counts_b, _support_columns(gens_b)) / counts_b.shots
     var_a = p_a * (1.0 - p_a) / counts_a.shots
     var_b = p_b * (1.0 - p_b) / counts_b.shots
     estimate = 3.0 - 2.0 * (p_a + p_b)

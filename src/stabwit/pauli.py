@@ -100,13 +100,6 @@ class PauliString:
         """Bitmask of sites carrying a non-identity letter (site 1 = MSB)."""
         return self.x_bits | self.z_bits
 
-    def is_identity(self) -> bool:
-        """All-identity letters with phase +1: the multiplicative unit."""
-        return self.x_bits == 0 and self.z_bits == 0 and self.phase_exp == 0
-
-    def is_hermitian(self) -> bool:
-        return self.phase in (1, -1)
-
     def letter_at(self, site: int) -> str:
         """Letter at the given 1-based site."""
         if not 1 <= site <= self.n:

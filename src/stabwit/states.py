@@ -19,7 +19,8 @@ import numpy as np
 from .errors import DimensionError, DomainError, NumericError
 from .pauli import PauliString
 
-MAX_QUBITS_DEFAULT = 20
+# the largest register a dense statevector is built for
+MAX_QUBITS = 20
 NORM_ATOL = 1e-12
 HERMITICITY_ATOL = 1e-12
 
@@ -63,20 +64,20 @@ class NoisyState:
 State = Union[StateVector, NoisyState]
 
 
-def _check_range(n: int, max_qubits: int) -> None:
-    if n < 2 or n > max_qubits:
-        raise DomainError(f"qubit count must lie in 2..{max_qubits}, got {n}")
+def _check_range(n: int) -> None:
+    if n < 2 or n > MAX_QUBITS:
+        raise DomainError(f"qubit count must lie in 2..{MAX_QUBITS}, got {n}")
 
 
-def make_ghz(n: int, max_qubits: int = MAX_QUBITS_DEFAULT) -> StateVector:
+def make_ghz(n: int) -> StateVector:
     """(|0...0> + |1...1>)/sqrt(2)."""
-    _check_range(n, max_qubits)
+    _check_range(n)
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
     return StateVector(n, amps)
 
 
-def make_cluster(n: int, max_qubits: int = MAX_QUBITS_DEFAULT) -> StateVector:
+def make_cluster(n: int) -> StateVector:
     """The unique common +1 eigenvector of the linear-chain stabilizers.
 
     Built as the uniform superposition with a controlled-phase applied to
@@ -84,7 +85,7 @@ def make_cluster(n: int, max_qubits: int = MAX_QUBITS_DEFAULT) -> StateVector:
     Correctness against the stabilizer defining equations is certified by
     the test suite rather than assumed from the circuit.
     """
-    _check_range(n, max_qubits)
+    _check_range(n)
     idx = np.arange(1 << n, dtype=np.int64)
     # adjacent sites sit in adjacent bit positions, so s & (s >> 1) marks
     # the 11 pairs of the chain

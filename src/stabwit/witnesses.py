@@ -37,7 +37,7 @@ from typing import Mapping, Sequence
 from scipy.optimize import brentq
 
 from .errors import DomainError, NumericError
-from .families import FAMILIES, FAMILY_CLUSTER, FAMILY_GHZ, get_family
+from .families import FAMILIES, get_family
 from .measurement import MeasurementSetting, settings_for
 from .pauli import GeneratorSet, PauliString, generators_for, subgroup_product
 from .states import StateVector, stabilizer_projector_expectation
@@ -138,16 +138,6 @@ def build_witness(family: str, n: int) -> Witness:
     return Witness(n, family, terms)
 
 
-def build_ghz_witness(n: int) -> Witness:
-    """3*1 - 2[(S_1 + 1)/2 + prod_{k=2..n} (S_k + 1)/2] as Pauli terms."""
-    return build_witness(FAMILY_GHZ, n)
-
-
-def build_cluster_witness(n: int) -> Witness:
-    """3*1 - 2[prod_{even k} (S_k + 1)/2 + prod_{odd k} (S_k + 1)/2]."""
-    return build_witness(FAMILY_CLUSTER, n)
-
-
 def target_state(family: str, n: int) -> StateVector:
     """The pure state the family's witness is built around."""
     return get_family(family).target(n)
@@ -187,23 +177,26 @@ def noisy_target_expectation(family: str, n: int, p_noise: float) -> float:
 
 @dataclass(frozen=True)
 class ThresholdReport:
-    """Noise tolerance of one witness, from both computation routes."""
+    """Noise tolerance of one witness, from both computation routes; the
+    reported threshold is the closed form."""
 
     family: str
     n: int
-    p_threshold: float
-    method: str
     trace_p1: float
     trace_p2: float
     p_closed_form: float
     p_root_find: float
+
+    @property
+    def p_threshold(self) -> float:
+        return self.p_closed_form
 
     def to_dict(self) -> dict:
         return {
             "family": self.family,
             "n": self.n,
             "p_threshold": self.p_threshold,
-            "method": self.method,
+            "method": "closed_form",
             "trace_p1": self.trace_p1,
             "trace_p2": self.trace_p2,
             "p_closed_form": self.p_closed_form,
@@ -211,7 +204,7 @@ class ThresholdReport:
         }
 
 
-def noise_threshold(family: str, n: int, method: str = "closed_form") -> ThresholdReport:
+def noise_threshold(family: str, n: int) -> ThresholdReport:
     """Largest noise fraction at which the witness still detects the target.
 
     Computes the closed form and, independently, the root of the noisy
@@ -221,8 +214,6 @@ def noise_threshold(family: str, n: int, method: str = "closed_form") -> Thresho
     """
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    if method not in ("closed_form", "root_find"):
-        raise DomainError(f"unknown method {method!r}")
     closed = get_family(family).closed_form_threshold(n)
     identity_coeff, pure = _structural_target_values(family, n)
     if pure >= 0.0:
@@ -235,11 +226,8 @@ def noise_threshold(family: str, n: int, method: str = "closed_form") -> Thresho
             f"threshold routes disagree for {family} n={n}: "
             f"closed {closed!r} vs root {root!r}")
     tr1, tr2 = _projector_traces(family, n)
-    return ThresholdReport(
-        family=family, n=n,
-        p_threshold=closed if method == "closed_form" else root,
-        method=method, trace_p1=tr1, trace_p2=tr2,
-        p_closed_form=closed, p_root_find=root)
+    return ThresholdReport(family=family, n=n, trace_p1=tr1, trace_p2=tr2,
+                           p_closed_form=closed, p_root_find=root)
 
 
 def settings_count(method: str, n: int) -> int:

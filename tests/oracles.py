@@ -4,10 +4,12 @@ Everything here is built from explicit 2x2 matrices and np.kron, never from
 the package's bitmask algebra, so agreement between the two is meaningful.
 Density matrices are materialised only here and only for small n.
 
-The exceptions are the see-saw references at the end: the per-term
-half-step loop and the key-based eigenvector choice that the vectorised
-see-saw replaced, kept verbatim so that a test can pin the fast path to
-the path it replaces.
+The exceptions are the references at the end: the per-key outcome-parity
+loops that the vectorised parity count replaced, the per-term half-step
+loop and the key-based eigenvector choice that the vectorised see-saw
+replaced, kept verbatim so that a test can pin each fast path to the path
+it replaces; and ``setting_measures``, which checks the derived settings
+letter by letter.
 """
 from __future__ import annotations
 
@@ -105,6 +107,38 @@ def cluster_generator_letters(n: int) -> list[str]:
         gens.append("I" * (k - 2) + "ZXZ" + "I" * (n - k - 1))
     gens.append("I" * (n - 2) + "ZX")
     return gens
+
+
+def setting_measures(setting, p) -> bool:
+    """True iff every non-identity letter of p matches the setting's axis."""
+    assert setting.n == p.n
+    return all(letter == "I" or letter.lower() == axis
+               for letter, axis in zip(p.ops, setting.axes))
+
+
+def loop_pass_fraction(table, gens) -> float:
+    """Fraction of shots whose outcome has +1 parity on every generator's support."""
+    supports = [g.support for g in gens]
+    passed = 0
+    for key, value in table.counts.items():
+        bits = int(key, 2)
+        if all((bits & m).bit_count() & 1 == 0 for m in supports):
+            passed += value
+    return passed / table.shots
+
+
+def loop_correlation(table, sites) -> float:
+    """Empirical product correlation of the +-1 outcomes on the given sites."""
+    chosen = sorted(set(sites))
+    n = table.setting.n
+    mask = 0
+    for q in chosen:
+        mask |= 1 << (n - q)
+    total = 0
+    for key, value in table.counts.items():
+        parity = (int(key, 2) & mask).bit_count() & 1
+        total += -value if parity else value
+    return total / table.shots
 
 
 def per_term_split(terms, cut):

@@ -4,10 +4,11 @@ import pytest
 
 from stabwit import (
     Bipartition,
+    BisepReport,
+    CutResult,
+    DimensionError,
     DomainError,
     StateVector,
-    build_cluster_witness,
-    build_ghz_witness,
     build_witness,
     certify,
     enumerate_bipartitions,
@@ -103,7 +104,7 @@ class TestHalfStep:
             assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_table_size_is_linear_in_terms(self):
-        w = build_cluster_witness(6)
+        w = build_witness("cluster", 6)
         for cut in enumerate_bipartitions(6):
             table = _split_terms(w.terms, cut)
             assert np.count_nonzero(table.coeffs) == len(w.terms)
@@ -138,13 +139,12 @@ class TestHalfStep:
 
 class TestSeeSaw:
     def test_value_history_never_increases(self, rng):
-        w = build_ghz_witness(3)
+        w = build_witness("ghz", 3)
         for cut in enumerate_bipartitions(3):
             split = _split_terms(w.terms, cut)
-            da, db = 1 << len(cut.part_a), 1 << len(cut.part_b)
             for _ in range(5):
                 trace = see_saw_once(
-                    split, da, db,
+                    split,
                     random_state_vector(rng, len(cut.part_a)),
                     random_state_vector(rng, len(cut.part_b)))
                 diffs = np.diff(trace.history)
@@ -153,7 +153,7 @@ class TestSeeSaw:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_ghz_minimum_is_zero(self, n):
-        w = build_ghz_witness(n)
+        w = build_witness("ghz", n)
         for cut in enumerate_bipartitions(n):
             result = min_over_cut(w, cut, restarts=10, seed=0)
             assert abs(result.min_value) < 1e-7
@@ -162,7 +162,7 @@ class TestSeeSaw:
     def test_analytic_zero_point(self):
         """|000> is biseparable across every cut and gives exactly zero, an
         upper bound the optimiser must reach."""
-        w = build_ghz_witness(3)
+        w = build_witness("ghz", 3)
         zeros = np.zeros(8)
         zeros[0] = 1.0
         assert expectation(w, StateVector(3, zeros)) == pytest.approx(0.0)
@@ -176,7 +176,7 @@ class TestSeeSaw:
                 assert expectation(w, full) == pytest.approx(result.min_value, abs=1e-9)
 
     def test_deterministic_given_seed(self):
-        w = build_cluster_witness(3)
+        w = build_witness("cluster", 3)
         cut = enumerate_bipartitions(3)[0]
         r1 = min_over_cut(w, cut, restarts=6, seed=42)
         r2 = min_over_cut(w, cut, restarts=6, seed=42)
@@ -184,8 +184,16 @@ class TestSeeSaw:
         assert np.array_equal(r1.state_a, r2.state_a)
         assert np.array_equal(r1.state_b, r2.state_b)
 
+    def test_start_vectors_must_fit_the_cut(self, rng):
+        cut = enumerate_bipartitions(3)[0]
+        split = _split_terms(build_witness("ghz", 3).terms, cut)
+        a, b = random_state_vector(rng, 1), random_state_vector(rng, 2)
+        see_saw_once(split, a, b)
+        with pytest.raises(DimensionError):
+            see_saw_once(split, b, a)
+
     def test_restart_domain(self):
-        w = build_ghz_witness(2)
+        w = build_witness("ghz", 2)
         with pytest.raises(DomainError):
             min_over_cut(w, enumerate_bipartitions(2)[0], restarts=0)
 
@@ -201,7 +209,7 @@ class TestCertify:
         assert all(c.converged for c in report.cuts)
 
     def test_negated_control_fails(self):
-        report = certify(build_ghz_witness(3).negated(), restarts=10, seed=0)
+        report = certify(build_witness("ghz", 3).negated(), restarts=10, seed=0)
         assert not report.passed
         assert report.global_min < -1.0  # reaches the -3 eigenvalue
 
@@ -224,7 +232,7 @@ class TestCertify:
         import jsonschema
         from importlib import resources
 
-        report = certify(build_ghz_witness(3), restarts=5, seed=0)
+        report = certify(build_witness("ghz", 3), restarts=5, seed=0)
         d = report.to_dict()
         schema = json.loads(resources.files("stabwit")
                             .joinpath("schemas/bisep_report.schema.json").read_text())
@@ -232,5 +240,22 @@ class TestCertify:
         assert d["global_min"] == min(c["min_value"] for c in d["cuts"])
 
     def test_argmin_cut(self):
-        report = certify(build_cluster_witness(3), restarts=5, seed=0)
-        assert report.argmin_cut.min_value == report.global_min
+        report = certify(build_witness("cluster", 3), restarts=5, seed=0)
+        tied = [c for c in report.cuts if c.min_value - report.global_min <= 1e-10]
+        assert report.argmin_cut is tied[0]
+
+    @staticmethod
+    def _report(minima):
+        cuts = tuple(CutResult(cut, value, np.ones(1 << len(cut.part_a)),
+                               np.ones(1 << len(cut.part_b)), True, 1)
+                     for cut, value in zip(enumerate_bipartitions(3), minima))
+        return BisepReport("ghz", 3, 1, 0, cuts, min(minima), True)
+
+    def test_argmin_is_the_first_tied_cut(self):
+        report = self._report([1e-15, 0.0, 2e-15])
+        assert report.argmin_cut is report.cuts[0]
+        assert report.to_dict()["argmin"]["part_a"] == [1]
+
+    def test_argmin_takes_a_clearly_lower_later_cut(self):
+        report = self._report([0.0, 1e-15, -1e-6])
+        assert report.argmin_cut is report.cuts[2]

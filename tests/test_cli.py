@@ -258,6 +258,20 @@ class TestCertify:
 
 
 class TestHarness:
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--family", "ghz", "--n", "4", "--format", "csv"],
+        ["certify", "--family", "ghz", "--n", "4", "--format", "text"],
+        ["eval", "--family", "ghz", "--n", "4", "--format", "csv"],
+        ["simulate", "--family", "ghz", "--n", "4", "--format", "csv"],
+        ["table", "--n", "2..4", "--format", "text"],
+    ])
+    def test_unwritable_format_fails_before_any_work(self, argv, tmp_path, capsys):
+        code, out, err = run(argv + ["--out", str(tmp_path / "record")], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--format" in err
+        assert not (tmp_path / "record").exists()
+
     def test_version_flag(self, capsys):
         code, out, _ = run(["--version"], capsys)
         assert code == 0

@@ -19,13 +19,20 @@ from stabwit import (
     noisy_target_expectation,
     outcome_distribution,
     sample_outcomes,
-    setting_measures,
     settings_for,
     target_state,
     white_noise_mix,
 )
 
-from oracles import dense_pauli, random_state_vector
+from stabwit.measurement import _setting_generators
+
+from oracles import (
+    dense_pauli,
+    loop_correlation,
+    loop_pass_fraction,
+    random_state_vector,
+    setting_measures,
+)
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 
@@ -198,6 +205,46 @@ class TestCorrelations:
             correlation_from_counts(table, (0, 1))
         with pytest.raises(DomainError):
             correlation_from_counts(table, (3,))
+
+
+class TestParityRoutine:
+    """The vectorised parity count against the per-key loops it replaced.
+    Both sum the same integers, so the results are equal, not close."""
+
+    @staticmethod
+    def assert_matches_loops(table_a, table_b, family):
+        n = table_a.setting.n
+        gens_a, gens_b = _setting_generators(family, n)
+        est = estimate_witness(table_a, table_b, family)
+        assert est.pass_freq_a == loop_pass_fraction(table_a, gens_a)
+        assert est.pass_freq_b == loop_pass_fraction(table_b, gens_b)
+        assert est.estimate == 3.0 - 2.0 * (est.pass_freq_a + est.pass_freq_b)
+        for table, gens in ((table_a, gens_a), (table_b, gens_b)):
+            for sites in [[q for q in range(1, n + 1) if g.letter_at(q) != "I"]
+                          for g in gens[:3]] + [[1], [n], list(range(1, n + 1))]:
+                assert correlation_from_counts(table, sites) == loop_correlation(table, sites)
+
+    @pytest.mark.parametrize("family", ["ghz", "cluster"])
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_sampled_tables(self, family, n):
+        setting_a, setting_b = settings_for(family, n)
+        for p in (0.0, 0.2, 1.0):
+            state = white_noise_mix(p, target_state(family, n))
+            self.assert_matches_loops(sample_outcomes(state, setting_a, 3000, seed=n),
+                                      sample_outcomes(state, setting_b, 3000, seed=n + 1),
+                                      family)
+
+    @pytest.mark.parametrize("family", ["ghz", "cluster"])
+    def test_seventy_qubit_tables(self, family, rng):
+        """Wider than any fixed-width integer code; the tables mix random
+        outcomes with the all-zero outcome, which passes every parity."""
+        tables = []
+        for setting in settings_for(family, 70):
+            keys = ["".join(map(str, row)) for row in rng.integers(0, 2, size=(400, 70))]
+            counts = {key: int(c) for key, c in zip(keys, rng.integers(1, 50, size=400))}
+            counts["0" * 70] = 5000
+            tables.append(CountsTable(setting, sum(counts.values()), counts))
+        self.assert_matches_loops(*tables, family)
 
 
 class TestEstimatorExactLimits:

@@ -1,0 +1,11 @@
+"""The library example in the README runs as written."""
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_first_python_block_runs():
+    block = re.search(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
+    assert block is not None, "README has no python block"
+    exec(compile(block.group(1), str(README), "exec"), {})

@@ -11,7 +11,7 @@ from stabwit import (
     PauliString,
     StateVector,
     apply_pauli,
-    build_ghz_witness,
+    build_witness,
     cluster_generators,
     expectation,
     ghz_generators,
@@ -70,11 +70,6 @@ class TestConstruction:
             make_ghz(n)
         with pytest.raises(DomainError):
             make_cluster(n)
-
-    def test_max_qubits_override(self):
-        with pytest.raises(DomainError):
-            make_ghz(11, max_qubits=10)
-        assert make_ghz(11, max_qubits=12).n == 11
 
     def test_norm_validated(self):
         with pytest.raises(NumericError):
@@ -167,7 +162,7 @@ class TestExpectation:
         assert expectation(PauliString.parse("XXX"), noisy) == pytest.approx(0.5)
 
     def test_threshold_state_gives_zero(self):
-        w = build_ghz_witness(3)
+        w = build_witness("ghz", 3)
         noisy = white_noise_mix(0.4, make_ghz(3))
         assert abs(expectation(w, noisy)) < 1e-12
 
@@ -187,7 +182,7 @@ class TestExpectation:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_affine_in_noise_vs_density_matrix(self, n, rng):
         state = StateVector(n, random_state_vector(rng, n))
-        w = build_ghz_witness(n)
+        w = build_witness("ghz", n)
         strings = [PauliString.from_ops("".join(rng.choice(list("IXYZ"), size=n)))
                    for _ in range(5)]
         for p in (0.0, 0.25, 0.5, 0.75, 1.0):

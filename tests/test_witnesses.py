@@ -10,15 +10,12 @@ from stabwit import (
     PauliString,
     StateVector,
     Witness,
-    build_cluster_witness,
-    build_ghz_witness,
     build_witness,
     expectation,
     make_cluster,
     make_ghz,
     noise_threshold,
     noisy_target_expectation,
-    setting_measures,
     settings_count,
     settings_for,
     target_state,
@@ -33,6 +30,7 @@ from oracles import (
     dense_witness_from_projectors,
     ghz_generator_letters,
     random_state_vector,
+    setting_measures,
 )
 
 
@@ -50,30 +48,30 @@ def cluster_projector_letters(n):
 
 class TestConstruction:
     def test_ghz3_expansion_frozen(self):
-        w = build_ghz_witness(3)
+        w = build_witness("ghz", 3)
         want = {"+III": 1.5, "+XXX": -1.0, "+ZZI": -0.5, "+IZZ": -0.5, "+ZIZ": -0.5}
         assert {str(t): c for t, c in w.terms.items()} == want
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_ghz_matches_projector_oracle(self, n):
-        w = build_ghz_witness(n)
+        w = build_witness("ghz", n)
         dense = dense_witness_from_projectors(*ghz_projector_letters(n), n)
         assert np.allclose(dense_operator_from_terms(w.terms), dense, atol=1e-12)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_cluster_matches_projector_oracle(self, n):
-        w = build_cluster_witness(n)
+        w = build_witness("cluster", n)
         dense = dense_witness_from_projectors(*cluster_projector_letters(n), n)
         assert np.allclose(dense_operator_from_terms(w.terms), dense, atol=1e-12)
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_term_counts(self, n):
-        assert len(build_ghz_witness(n).terms) == 2 ** (n - 1) + 1
-        assert len(build_cluster_witness(n).terms) == \
+        assert len(build_witness("ghz", n).terms) == 2 ** (n - 1) + 1
+        assert len(build_witness("cluster", n).terms) == \
             2 ** (n // 2) + 2 ** ((n + 1) // 2) - 1
 
     def test_identity_merging(self):
-        w = build_cluster_witness(4)
+        w = build_witness("cluster", 4)
         identities = [t for t in w.terms if t.x_bits == 0 and t.z_bits == 0]
         assert len(identities) == 1
         assert w.identity_coefficient == pytest.approx(2.0)
@@ -96,9 +94,9 @@ class TestConstruction:
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            build_ghz_witness(1)
+            build_witness("ghz", 1)
         with pytest.raises(DomainError):
-            build_cluster_witness(1)
+            build_witness("cluster", 1)
         with pytest.raises(DomainError):
             build_witness("w_state", 4)
 
@@ -111,27 +109,27 @@ class TestConstruction:
 class TestExpectation:
     @pytest.mark.parametrize("n", range(2, 11))
     def test_target_values(self, n):
-        assert abs(expectation(build_ghz_witness(n), make_ghz(n)) + 1.0) < 1e-12
-        assert abs(expectation(build_cluster_witness(n), make_cluster(n)) + 1.0) < 1e-12
+        assert abs(expectation(build_witness("ghz", n), make_ghz(n)) + 1.0) < 1e-12
+        assert abs(expectation(build_witness("cluster", n), make_cluster(n)) + 1.0) < 1e-12
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_all_zeros_gives_zero(self, n):
         zeros = np.zeros(1 << n)
         zeros[0] = 1.0
-        value = expectation(build_ghz_witness(n), StateVector(n, zeros))
+        value = expectation(build_witness("ghz", n), StateVector(n, zeros))
         assert abs(value) < 1e-12
 
     def test_ghz3_full_noise(self):
         noisy = white_noise_mix(1.0, make_ghz(3))
-        assert expectation(build_ghz_witness(3), noisy) == pytest.approx(1.5)
+        assert expectation(build_witness("ghz", 3), noisy) == pytest.approx(1.5)
 
     def test_cluster4_maximally_mixed(self):
         noisy = white_noise_mix(1.0, make_cluster(4))
-        assert expectation(build_cluster_witness(4), noisy) == pytest.approx(2.0)
+        assert expectation(build_witness("cluster", 4), noisy) == pytest.approx(2.0)
 
     def test_cluster4_at_third_noise(self):
         noisy = white_noise_mix(1.0 / 3.0, make_cluster(4))
-        assert abs(expectation(build_cluster_witness(4), noisy)) < 1e-9
+        assert abs(expectation(build_witness("cluster", 4), noisy)) < 1e-9
 
     @pytest.mark.parametrize("family", ["ghz", "cluster"])
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
@@ -230,13 +228,10 @@ class TestNoiseThreshold:
                       0.0, 1.0, xtol=1e-14)
         assert noise_threshold(family, n).p_threshold == pytest.approx(root, abs=1e-9)
 
-    def test_method_selects_value(self):
-        closed = noise_threshold("ghz", 5, method="closed_form")
-        root = noise_threshold("ghz", 5, method="root_find")
-        assert closed.p_threshold == closed.p_closed_form
-        assert root.p_threshold == root.p_root_find
-        with pytest.raises(DomainError):
-            noise_threshold("ghz", 5, method="guess")
+    def test_reports_the_closed_form(self):
+        report = noise_threshold("ghz", 5)
+        assert report.p_threshold == report.p_closed_form
+        assert report.to_dict()["method"] == "closed_form"
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -290,7 +285,7 @@ class TestSerialization:
         assert again.settings == w.settings
 
     def test_from_dict_rejects_contradicting_settings(self):
-        d = build_ghz_witness(3).to_dict()
+        d = build_witness("ghz", 3).to_dict()
         d["settings"] = ["zzz", "xxx"]
         with pytest.raises(DomainError):
             Witness.from_dict(d)
@@ -301,7 +296,7 @@ class TestSerialization:
 
         schema = json.loads(resources.files("stabwit")
                             .joinpath("schemas/witness.schema.json").read_text())
-        jsonschema.validate(json.loads(build_ghz_witness(3).to_json()), schema)
+        jsonschema.validate(json.loads(build_witness("ghz", 3).to_json()), schema)
 
     def test_threshold_report_schema_valid(self):
         import jsonschema
@@ -312,6 +307,6 @@ class TestSerialization:
         jsonschema.validate(noise_threshold("cluster", 6).to_dict(), schema)
 
     def test_negated(self):
-        w = build_ghz_witness(3)
+        w = build_witness("ghz", 3)
         neg = w.negated()
         assert expectation(neg, make_ghz(3)) == pytest.approx(1.0)
