@@ -40,10 +40,12 @@ from .measurement import (
     MeasurementSetting,
     WitnessEstimate,
     correlation_from_counts,
+    draw_counts,
     estimate_from_distributions,
     estimate_witness,
     outcome_distribution,
     sample_outcomes,
+    setting_distributions,
     settings_for,
 )
 from .witnesses import (

@@ -28,7 +28,8 @@ from . import __version__
 from .bisep import PASS_TOLERANCE, certify
 from .errors import StabwitError
 from .families import FAMILIES
-from .measurement import CountsTable, estimate_witness, sample_outcomes, settings_for
+from .jsontext import dumps
+from .measurement import CountsTable, draw_counts, estimate_witness, setting_distributions
 from .states import MAX_QUBITS
 from .witnesses import build_witness, noise_threshold, noisy_target_expectation
 
@@ -109,8 +110,7 @@ def _write_record(record: dict, out: str, fmt: str, csv_text: str | None = None)
     """Write the record as JSON, or as the CSV text of a command that has
     one (argparse offers csv only there)."""
     path = Path(out)
-    path.write_text(csv_text if fmt == "csv" else
-                    json.dumps(record, sort_keys=True, indent=2) + "\n")
+    path.write_text(csv_text if fmt == "csv" else dumps(record) + "\n")
     print(f"wrote {fmt} record to {path}", file=sys.stderr)
 
 
@@ -199,11 +199,10 @@ def _simulate_counts(config: RunConfig) -> tuple[CountsTable, CountsTable, float
     from .states import white_noise_mix
     from .witnesses import target_state
 
-    setting_a, setting_b = settings_for(config.family, config.n)
     state = white_noise_mix(config.p_noise, target_state(config.family, config.n))
-    counts_a = sample_outcomes(state, setting_a, config.shots, seed=config.seed)
-    counts_b = sample_outcomes(state, setting_b, config.shots, seed=config.seed + 1)
-    exact = noisy_target_expectation(config.family, config.n, config.p_noise)
+    settings, dists, exact = setting_distributions(state, config.family)
+    counts_a, counts_b = (draw_counts(setting, dist, config.shots, seed=config.seed + k)
+                          for k, (setting, dist) in enumerate(zip(settings, dists)))
     return counts_a, counts_b, exact
 
 

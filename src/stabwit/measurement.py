@@ -6,13 +6,24 @@ correlation among the chosen observables can be computed.  Outcome bit 0
 stands for the +1 eigenvalue of the site observable, bit 1 for -1, with
 qubit 1 leftmost in the outcome string.
 
+A setting's exact outcome distribution is the statevector with a Hadamard
+butterfly applied in place at each x site, squared.  Both settings'
+distributions serve twice: ``setting_distributions`` returns them with the
+exact witness value they fix, and ``draw_counts`` samples from them, so a
+simulation builds one target and one distribution per setting.
+
 Sampling uses the counter-based Philox4x64-10 generator keyed directly by
 the caller's seed, so counts tables reproduce bit-exactly across platforms.
 The counts for one setting are drawn in a single multinomial step, the
-aggregate of independent per-shot draws from the outcome distribution.
+aggregate of independent per-shot draws from the outcome distribution, and
+the drawn outcomes' keys are rendered in one pass over their bits.
 
-Every outcome parity, for the witness estimate from counts or from exact
-distributions and for correlations, is counted by one routine over a 0/1
+The witness value of exact distributions is each setting's probability
+mass on the outcomes with even parity on every generator's support.  Those
+outcomes are the GF(2) null space of the supports, enumerated in ascending
+order, so the mass sums the same elements in the same order as a test of
+every outcome would.  Every outcome parity of counts, for the witness
+estimate and for correlations, is counted by one routine over a 0/1
 outcome matrix with a column per qubit.  A counts table's keys become that
 matrix in one buffer read, so no outcome is packed into a fixed-width
 integer and tables of any width work; shot counts are summed as Python
@@ -30,11 +41,16 @@ import numpy as np
 
 from .errors import ContractError, DimensionError, DomainError, NumericError
 from .families import get_family
-from .pauli import PauliString, generators_for
+from .jsontext import dumps
+from .pauli import PauliString, generators_for, gf2_reduce
 from .states import NoisyState, State
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
+# per-slot factors of the butterfly on a (low, high) pair axis
+_BUTTERFLY_SIGNS = np.array([[1.0], [-1.0]])
+_BUTTERFLY_SCALES = np.array([[_SQRT1_2], [-_SQRT1_2]])
 PROB_ATOL = 1e-12
+_AXIS_OF_X_BIT = str.maketrans("10", "xz")
 
 
 @dataclass(frozen=True)
@@ -47,7 +63,7 @@ class MeasurementSetting:
     def __post_init__(self) -> None:
         if len(self.axes) != self.n:
             raise DimensionError(f"need {self.n} axes, got {self.axes!r}")
-        if any(a not in "xz" for a in self.axes):
+        if not set(self.axes) <= {"x", "z"}:
             raise DomainError(f"axes must be 'x' or 'z': {self.axes!r}")
 
 
@@ -70,8 +86,7 @@ def _setting_of(n: int, gens: Sequence[PauliString]) -> MeasurementSetting:
         z |= g.z_bits
     if x & z or x | z != (1 << n) - 1:
         raise DomainError("the generators do not fix one x or z axis per site")
-    return MeasurementSetting(
-        n, "".join("x" if (x >> (n - site)) & 1 else "z" for site in range(1, n + 1)))
+    return MeasurementSetting(n, format(x, f"0{n}b").translate(_AXIS_OF_X_BIT))
 
 
 def settings_for(family: str, n: int) -> tuple[MeasurementSetting, MeasurementSetting]:
@@ -137,7 +152,7 @@ class CountsTable:
         return cls(MeasurementSetting(len(axes), axes), shots, counts)
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
+        Path(path).write_text(dumps(self.to_dict()) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "CountsTable":
@@ -149,16 +164,21 @@ class CountsTable:
 
 
 def _rotate_to_measurement_basis(amps: np.ndarray, n: int, axes: str) -> np.ndarray:
-    """Hadamard each x-axis site, mapping its x eigenbasis onto bit values."""
-    tensor = amps.reshape([2] * n)
-    for axis, kind in enumerate(axes):
+    """Hadamard each x-axis site, mapping its x eigenbasis onto bit values:
+    one in-place butterfly per x site on a single copy of the amplitudes.
+
+    The butterfly adds the pair (b, -a) to (a, b) and scales by (s, -s),
+    s = 1/sqrt(2), which rounds exactly as ((a + b) s, (a - b) s) does:
+    negation is exact, and b - a = -(a - b) in floating point.
+    """
+    rotated = amps.copy()
+    for site, kind in enumerate(axes):
         if kind == "x":
-            moved = np.moveaxis(tensor, axis, 0)
-            tensor = np.moveaxis(
-                np.stack(((moved[0] + moved[1]) * _SQRT1_2,
-                          (moved[0] - moved[1]) * _SQRT1_2)),
-                0, axis)
-    return tensor.reshape(-1)
+            pair = rotated.reshape(1 << site, 2, -1)
+            swapped = pair[:, ::-1] * _BUTTERFLY_SIGNS
+            pair += swapped
+            pair *= _BUTTERFLY_SCALES
+    return rotated
 
 
 def outcome_distribution(state: State, setting: MeasurementSetting) -> np.ndarray:
@@ -167,29 +187,41 @@ def outcome_distribution(state: State, setting: MeasurementSetting) -> np.ndarra
     if setting.n != n:
         raise DimensionError(f"setting on {setting.n} qubits, state on {n}")
     pure = state.pure if isinstance(state, NoisyState) else state
-    rotated = _rotate_to_measurement_basis(pure.amplitudes, n, setting.axes)
-    probs = np.abs(rotated) ** 2
+    probs = np.abs(_rotate_to_measurement_basis(pure.amplitudes, n, setting.axes))
+    np.square(probs, out=probs)
     if isinstance(state, NoisyState):
-        probs = state.p_noise / probs.size + (1.0 - state.p_noise) * probs
+        probs *= 1.0 - state.p_noise
+        probs += state.p_noise / probs.size
     if abs(probs.sum() - 1.0) > PROB_ATOL:
         raise NumericError(f"probabilities sum to {probs.sum()!r}")
     return probs
 
 
-def sample_outcomes(state: State, setting: MeasurementSetting,
-                    shots: int, seed: int) -> CountsTable:
-    """Draw i.i.d. outcomes from the setting's distribution; deterministic in seed."""
+def draw_counts(setting: MeasurementSetting, probs: np.ndarray,
+                shots: int, seed: int) -> CountsTable:
+    """Draw i.i.d. outcomes from the setting's exact distribution; deterministic
+    in seed.  Every drawn key is rendered in one pass over the outcome bits."""
     if shots < 1:
         raise DomainError(f"shots must be positive, got {shots}")
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
-    probs = outcome_distribution(state, setting)
+    n = setting.n
+    if np.shape(probs) != (1 << n,):
+        raise DimensionError(f"need {1 << n} probabilities for n={n}, "
+                             f"got shape {np.shape(probs)}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     drawn = rng.multinomial(shots, probs / probs.sum())
     seen = np.flatnonzero(drawn)
-    width = f"0{setting.n}b"
-    counts = dict(zip([format(i, width) for i in seen.tolist()], drawn[seen].tolist()))
-    return CountsTable(setting, shots, counts)
+    codes = seen.astype(">u4").view(np.uint8).reshape(-1, 4)
+    text = (np.unpackbits(codes, axis=1)[:, 32 - n:] + ord("0")).tobytes().decode("ascii")
+    keys = [text[i:i + n] for i in range(0, len(text), n)]
+    return CountsTable(setting, shots, dict(zip(keys, drawn[seen].tolist())))
+
+
+def sample_outcomes(state: State, setting: MeasurementSetting,
+                    shots: int, seed: int) -> CountsTable:
+    """Draw i.i.d. outcomes from the setting's distribution; deterministic in seed."""
+    return draw_counts(setting, outcome_distribution(state, setting), shots, seed)
 
 
 def _even_parity(outcomes: np.ndarray, supports: Sequence[Sequence[int]]) -> np.ndarray:
@@ -227,15 +259,67 @@ def correlation_from_counts(table: CountsTable, sites: Iterable[int]) -> float:
     return (2 * even - table.shots) / table.shots
 
 
+def _even_outcomes(n: int, masks: Iterable[int]) -> np.ndarray:
+    """The outcomes, ascending, with even parity on every bitmask (qubit 1 =
+    most significant bit): the GF(2) null space of the masks.
+
+    The masks are reduced so that each row's lowest set bit is its pivot
+    and appears in no other row (``gf2_reduce``).  The null-space vector of a free bit f is
+    f plus the pivots of the rows holding f, all below f, so the basis
+    vectors have distinct leading bits that no other one sets, and their
+    span, listed with the later vectors as the more significant choices,
+    is ascending.  The lower and upper halves of the basis are spanned in
+    Python and combined by one outer XOR.
+    """
+    rows = gf2_reduce(masks)
+    basis = []
+    for f in range(n):
+        bit = 1 << f
+        if bit not in rows:
+            vector = bit
+            for pivot, row in rows.items():
+                if row & bit:
+                    vector |= pivot
+            basis.append(vector)
+    low, high = [0], [0]
+    for vector in basis[:len(basis) // 2]:
+        low += [x ^ vector for x in low]
+    for vector in basis[len(basis) // 2:]:
+        high += [x ^ vector for x in high]
+    return np.bitwise_xor.outer(np.array(high), np.array(low)).ravel()
+
+
+def _witness_value(dist_a: np.ndarray, dist_b: np.ndarray, n: int,
+                   gens: tuple[Sequence[PauliString], Sequence[PauliString]]) -> float:
+    """3 - 2(<P_1> + <P_2>), each projector's expectation being its
+    setting's probability mass on the outcomes with even parity on every
+    generator's support."""
+    masses = []
+    for dist, setting_gens in zip((dist_a, dist_b), gens):
+        if np.shape(dist) != (1 << n,):
+            raise DimensionError(f"need {1 << n} probabilities for n={n}, "
+                                 f"got shape {np.shape(dist)}")
+        masses.append(float(dist[_even_outcomes(n, [g.support for g in setting_gens])].sum()))
+    return 3.0 - 2.0 * (masses[0] + masses[1])
+
+
 def estimate_from_distributions(dist_a: np.ndarray, dist_b: np.ndarray,
                                 family: str, n: int) -> float:
     """Infinite-shot witness value 3 - 2(<P_1> + <P_2>) from exact outcome
     distributions of the two settings."""
-    codes = np.arange(1 << n, dtype=">u4").view(np.uint8).reshape(-1, 4)
-    outcomes = np.unpackbits(codes, axis=1)[:, 32 - n:]
-    p_a, p_b = (float(dist[_even_parity(outcomes, _support_columns(gens))].sum())
-                for dist, gens in zip((dist_a, dist_b), _setting_generators(family, n)))
-    return 3.0 - 2.0 * (p_a + p_b)
+    return _witness_value(dist_a, dist_b, n, _setting_generators(family, n))
+
+
+def setting_distributions(state: State, family: str) -> tuple[
+        tuple[MeasurementSetting, MeasurementSetting], tuple[np.ndarray, np.ndarray], float]:
+    """The family's two settings, their Born distributions on the state, and
+    the exact witness value those distributions fix, with the generators
+    derived once."""
+    n = state.n
+    gens = _setting_generators(family, n)
+    settings = _setting_of(n, gens[0]), _setting_of(n, gens[1])
+    dists = outcome_distribution(state, settings[0]), outcome_distribution(state, settings[1])
+    return settings, dists, _witness_value(*dists, n, gens)
 
 
 @dataclass(frozen=True)

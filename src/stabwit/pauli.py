@@ -153,18 +153,25 @@ class GeneratorSet:
 def _symplectic_rank(paulis: Iterable[PauliString]) -> int:
     """GF(2) rank of the (x|z) rows; full rank means no nonempty subset
     multiplies to the identity letters."""
-    rows = [(p.x_bits << p.n) | p.z_bits for p in paulis]
-    rank = 0
-    for _ in range(len(rows)):
-        rows = [r for r in rows if r]
-        if not rows:
-            break
-        pivot = max(rows, key=int.bit_length)
-        rows.remove(pivot)
-        top = 1 << (pivot.bit_length() - 1)
-        rows = [r ^ pivot if r & top else r for r in rows]
-        rank += 1
-    return rank
+    return len(gf2_reduce((p.x_bits << p.n) | p.z_bits for p in paulis))
+
+
+def gf2_reduce(rows: Iterable[int]) -> dict[int, int]:
+    """Reduced row echelon form of bit rows over GF(2), as a map from each
+    pivot, the lowest set bit of its row, to that row; no other row holds
+    the pivot.  The number of rows kept is the rank."""
+    reduced: dict[int, int] = {}
+    for row in rows:
+        for pivot, done in reduced.items():
+            if row & pivot:
+                row ^= done
+        if row:
+            pivot = row & -row
+            for other, done in reduced.items():
+                if done & pivot:
+                    reduced[other] = done ^ row
+            reduced[pivot] = row
+    return reduced
 
 
 def ghz_generators(n: int) -> GeneratorSet:

@@ -13,9 +13,13 @@ decomposition whose every term is measurable within one of two local
 settings.  A negative expectation value certifies entanglement; the value
 on the target state itself is -1.
 
-Exact values on the noisy target never expand W: a projector onto the
-joint +1 eigenspace of m independent generators has trace 2^(n-m), and its
-expectation on the target is one sequential projection of the statevector.
+Exact values on the noisy target never expand W.  Each projector's
+generators are measured by one local setting, so its expectation is the
+probability mass of that setting's exact outcome distribution on the
+outcomes with even parity on every generator's support: the two Born
+distributions that ``simulate`` samples from also fix <W>.  A projector onto
+the joint +1 eigenspace of m independent generators has trace 2^(n-m),
+which gives the identity coefficient of W.
 
 The noise tolerance is the largest white-noise fraction at which the
 expectation on the noisy target is still negative.  Because the noisy
@@ -38,9 +42,9 @@ from scipy.optimize import brentq
 
 from .errors import DomainError, NumericError
 from .families import FAMILIES, get_family
-from .measurement import MeasurementSetting, settings_for
+from .measurement import MeasurementSetting, setting_distributions, settings_for
 from .pauli import GeneratorSet, PauliString, generators_for, subgroup_product
-from .states import StateVector, stabilizer_projector_expectation
+from .states import StateVector, white_noise_mix
 
 THRESHOLD_AGREEMENT_ATOL = 1e-9
 
@@ -148,31 +152,18 @@ def _projector_traces(family: str, n: int) -> tuple[float, float]:
     return float(2 ** (n - len(first))), float(2 ** (n - len(second)))
 
 
-def _structural_target_values(family: str, n: int) -> tuple[float, float]:
-    """(identity coefficient of W, pure <W> on the target) without expanding
-    the Pauli terms; exact by the projector identity W = 3 - 2(P1+P2)."""
-    target = target_state(family, n)
-    gens = generators_for(family, n)
-    first, second = get_family(family).projector_sets(n)
-    tr1, tr2 = _projector_traces(family, n)
-    dim = float(1 << n)
-    identity_coeff = 3.0 - 2.0 * (tr1 + tr2) / dim
-    pure = 3.0 - 2.0 * (
-        stabilizer_projector_expectation(target, [gens.generators[k - 1] for k in first])
-        + stabilizer_projector_expectation(target, [gens.generators[k - 1] for k in second]))
-    return identity_coeff, pure
-
-
 def noisy_target_expectation(family: str, n: int, p_noise: float) -> float:
     """Exact <W> on the family target mixed with white noise at fraction p.
 
-    Evaluated in the projector form at every n; the test suite pins it
-    against the full Pauli decomposition.
+    W = 3 - 2(P_1 + P_2) and each projector is measured by one setting, so
+    the value is fixed by the even-parity mass of the two settings' exact
+    outcome distributions; the test suite pins it against the projector
+    expectation on the statevector and the full Pauli decomposition.
     """
     if not 0.0 <= p_noise <= 1.0:
         raise DomainError(f"noise fraction must lie in [0, 1], got {p_noise}")
-    identity_coeff, pure = _structural_target_values(family, n)
-    return p_noise * identity_coeff + (1.0 - p_noise) * pure
+    state = white_noise_mix(p_noise, target_state(family, n))
+    return setting_distributions(state, family)[2]
 
 
 @dataclass(frozen=True)
@@ -215,7 +206,10 @@ def noise_threshold(family: str, n: int) -> ThresholdReport:
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
     closed = get_family(family).closed_form_threshold(n)
-    identity_coeff, pure = _structural_target_values(family, n)
+    tr1, tr2 = _projector_traces(family, n)
+    identity_coeff = 3.0 - 2.0 * (tr1 + tr2) / float(1 << n)
+    # the value at p = 0, where the mix would leave the distributions as they are
+    pure = setting_distributions(target_state(family, n), family)[2]
     if pure >= 0.0:
         raise NumericError(f"target expectation {pure} is not negative; no threshold")
     root = float(brentq(lambda p: p * identity_coeff + (1.0 - p) * pure,
@@ -225,7 +219,6 @@ def noise_threshold(family: str, n: int) -> ThresholdReport:
         raise NumericError(
             f"threshold routes disagree for {family} n={n}: "
             f"closed {closed!r} vs root {root!r}")
-    tr1, tr2 = _projector_traces(family, n)
     return ThresholdReport(family=family, n=n, trace_p1=tr1, trace_p2=tr2,
                            p_closed_form=closed, p_root_find=root)
 

@@ -7,9 +7,11 @@ Density matrices are materialised only here and only for small n.
 The exceptions are the references at the end: the per-key outcome-parity
 loops that the vectorised parity count replaced, the per-term half-step
 loop and the key-based eigenvector choice that the vectorised see-saw
-replaced, kept verbatim so that a test can pin each fast path to the path
-it replaces; and ``setting_measures``, which checks the derived settings
-letter by letter.
+replaced, the copying basis rotation, the full-outcome-matrix estimator and
+the per-outcome key formatting that the in-place butterfly, the null-space
+enumeration and the one-pass key rendering replaced, kept verbatim so that
+a test can pin each fast path to the path it replaces; and
+``setting_measures``, which checks the derived settings letter by letter.
 """
 from __future__ import annotations
 
@@ -17,8 +19,11 @@ import itertools
 
 import numpy as np
 
+from stabwit.measurement import _even_parity, _setting_generators, _support_columns
 from stabwit.pauli import PauliString
 from stabwit.states import _apply_raw
+
+_SQRT1_2 = 1.0 / np.sqrt(2.0)
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -182,3 +187,44 @@ def keyed_minimal_eigvec(m, atol=1e-12):
         candidates.append(v)
     key = lambda v: tuple(np.round(np.column_stack((v.real, v.imag)).ravel(), 12))
     return float(vals[0]), min(candidates, key=key)
+
+
+def _rotate_to_measurement_basis(amps: np.ndarray, n: int, axes: str) -> np.ndarray:
+    """Hadamard each x-axis site, mapping its x eigenbasis onto bit values."""
+    tensor = amps.reshape([2] * n)
+    for axis, kind in enumerate(axes):
+        if kind == "x":
+            moved = np.moveaxis(tensor, axis, 0)
+            tensor = np.moveaxis(
+                np.stack(((moved[0] + moved[1]) * _SQRT1_2,
+                          (moved[0] - moved[1]) * _SQRT1_2)),
+                0, axis)
+    return tensor.reshape(-1)
+
+
+def copying_outcome_distribution(state, setting) -> np.ndarray:
+    """Born-rule probabilities computed as before the in-place butterfly."""
+    pure = getattr(state, "pure", state)
+    probs = np.abs(_rotate_to_measurement_basis(pure.amplitudes, state.n, setting.axes)) ** 2
+    if pure is not state:
+        probs = state.p_noise / probs.size + (1.0 - state.p_noise) * probs
+    return probs
+
+
+def estimate_from_distributions(dist_a: np.ndarray, dist_b: np.ndarray,
+                                family: str, n: int) -> float:
+    """Infinite-shot witness value 3 - 2(<P_1> + <P_2>) from exact outcome
+    distributions of the two settings."""
+    codes = np.arange(1 << n, dtype=">u4").view(np.uint8).reshape(-1, 4)
+    outcomes = np.unpackbits(codes, axis=1)[:, 32 - n:]
+    p_a, p_b = (float(dist[_even_parity(outcomes, _support_columns(gens))].sum())
+                for dist, gens in zip((dist_a, dist_b), _setting_generators(family, n)))
+    return 3.0 - 2.0 * (p_a + p_b)
+
+
+def formatted_counts(drawn: np.ndarray, n: int) -> dict:
+    """The outcome-string keyed counts of a drawn vector, one format call
+    per outcome seen."""
+    seen = np.flatnonzero(drawn)
+    width = f"0{n}b"
+    return dict(zip([format(i, width) for i in seen.tolist()], drawn[seen].tolist()))

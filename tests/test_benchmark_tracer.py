@@ -21,21 +21,40 @@ from stabwit import cli
 tracer = tracing.Tracer()
 tracing.install(tracer)
 tracer.op, tracer.active = 0, True
-code = cli.main(["certify", "--family", "ghz", "--n", "3", "--restarts", "2"])
+code = cli.main(sys.argv[3:])
 tracer.active = False
 spans = Counter(tracer.names[span[0]] for span in tracer.spans)
 print(json.dumps({"code": code, "spans": spans}))
 """
 
 
-def test_certify_spans_under_the_benchmark_tracer():
+def traced_spans(argv):
+    """Exit code and span counts of one traced command line."""
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, str(ROOT / "src"), str(ROOT / "perfbench")],
+        [sys.executable, "-c", CHILD, str(ROOT / "src"), str(ROOT / "perfbench"), *argv],
         capture_output=True, text=True, timeout=120,
         env={"PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1"})
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["code"] == 0
+    return result["code"], result["spans"]
+
+
+def test_certify_spans_under_the_benchmark_tracer():
+    code, spans = traced_spans(["certify", "--family", "ghz", "--n", "3", "--restarts", "2"])
+    assert code == 0
     expected = {"cli.main": 1, "bisep.certify": 1, "bisep.min_over_cut": 3,
                 "bisep.see_saw_once": 6}
-    assert {name: result["spans"].get(name, 0) for name in expected} == expected
+    assert {name: spans.get(name, 0) for name in expected} == expected
+
+
+def test_simulate_samples_and_scores_one_pair_of_distributions(tmp_path):
+    """One target, one Born distribution per setting for both the draw and
+    the exact value, no projection of the statevector."""
+    code, spans = traced_spans(["simulate", "--family", "ghz", "--n", "8",
+                                "--counts-out", str(tmp_path / "counts")])
+    assert code == 0
+    expected = {"cli.main": 1, "witnesses.target_state": 1,
+                "measurement.outcome_distribution": 2,
+                "states.stabilizer_projector_expectation": 0,
+                "measurement.counts_save": 2}
+    assert {name: spans.get(name, 0) for name in expected} == expected

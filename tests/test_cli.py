@@ -224,6 +224,17 @@ class TestSimulate:
         assert code == 0
         assert json.loads(out_path.read_text())["config"]["seed"] == 123
 
+    @pytest.mark.parametrize("family,n,p", [("ghz", 2, 0.0), ("ghz", 9, 0.31),
+                                            ("cluster", 5, 0.2), ("cluster", 14, 1.0)])
+    def test_exact_equals_eval_value(self, family, n, p, tmp_path, capsys):
+        """Both commands read <W> off the same two Born distributions."""
+        common = ["--family", family, "--n", str(n), "--p-noise", str(p)]
+        assert main(["eval", *common, "--out", str(tmp_path / "eval.json")]) == 0
+        assert main(["simulate", *common, "--shots", "100",
+                     "--out", str(tmp_path / "sim.json")]) == 0
+        value = json.loads((tmp_path / "eval.json").read_text())["value"]
+        assert json.loads((tmp_path / "sim.json").read_text())["exact"] == value
+
     def test_invalid_shots(self, capsys):
         assert run(["simulate", "--family", "ghz", "--n", "3",
                     "--shots", "0"], capsys)[0] == 2

@@ -11,6 +11,7 @@ from stabwit import (
     PauliString,
     StateVector,
     correlation_from_counts,
+    draw_counts,
     estimate_from_distributions,
     estimate_witness,
     expectation,
@@ -26,8 +27,11 @@ from stabwit import (
 
 from stabwit.measurement import _setting_generators
 
+import oracles
 from oracles import (
+    copying_outcome_distribution,
     dense_pauli,
+    formatted_counts,
     loop_correlation,
     loop_pass_fraction,
     random_state_vector,
@@ -123,6 +127,26 @@ class TestOutcomeDistribution:
         with pytest.raises(DimensionError):
             outcome_distribution(make_ghz(3), MeasurementSetting(2, "xx"))
 
+    @pytest.mark.parametrize("family", ["ghz", "cluster"])
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_butterfly_equals_copying_rotation(self, family, n):
+        """The in-place butterfly gives the probabilities of the copying
+        rotation it replaced, bit for bit, pure and noisy."""
+        state = target_state(family, n)
+        for setting in settings_for(family, n):
+            for s in (state, white_noise_mix(0.3, state)):
+                assert np.array_equal(outcome_distribution(s, setting),
+                                      copying_outcome_distribution(s, setting))
+
+    def test_butterfly_equals_copying_rotation_on_random_axes(self, rng):
+        for _ in range(40):
+            n = int(rng.integers(2, 13))
+            state = StateVector(n, random_state_vector(rng, n))
+            setting = MeasurementSetting(n, "".join(rng.choice(["x", "z"], size=n)))
+            for s in (state, white_noise_mix(float(rng.uniform(0, 1)), state)):
+                assert np.array_equal(outcome_distribution(s, setting),
+                                      copying_outcome_distribution(s, setting))
+
 
 class TestSampling:
     def test_deterministic_given_seed(self):
@@ -168,6 +192,20 @@ class TestSampling:
             sample_outcomes(make_ghz(2), settings_for("ghz", 2)[0], 0, seed=0)
         with pytest.raises(DomainError):
             sample_outcomes(make_ghz(2), settings_for("ghz", 2)[0], 10, seed=-1)
+        with pytest.raises(DimensionError):
+            draw_counts(settings_for("ghz", 3)[0], np.full(4, 0.25), 10, seed=0)
+
+    @pytest.mark.parametrize("family,n,shots", [("ghz", 2, 50), ("cluster", 5, 3000),
+                                                ("ghz", 12, 100000), ("cluster", 20, 100000)])
+    def test_keys_equal_per_outcome_formatting(self, family, n, shots):
+        """The one-pass key rendering gives the dict of the per-outcome
+        format calls it replaced: same keys, counts and order."""
+        setting = settings_for(family, n)[0]
+        probs = outcome_distribution(white_noise_mix(0.2, target_state(family, n)), setting)
+        rng = np.random.Generator(np.random.Philox(key=7))
+        want = formatted_counts(rng.multinomial(shots, probs / probs.sum()), n)
+        got = draw_counts(setting, probs, shots, seed=7).counts
+        assert list(got.items()) == list(want.items())
 
 
 def exact_table(counts: dict, axes: str) -> CountsTable:
@@ -248,6 +286,27 @@ class TestParityRoutine:
 
 
 class TestEstimatorExactLimits:
+    @pytest.mark.parametrize("family", ["ghz", "cluster"])
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_equals_full_outcome_matrix_estimator(self, family, n, rng):
+        """The null-space enumeration sums the elements the full outcome
+        matrix selects, in the same order, so the values are equal."""
+        states = [target_state(family, n), StateVector(n, random_state_vector(rng, n))]
+        for state in states:
+            for p in (0.0, 0.2, 1.0):
+                noisy = white_noise_mix(p, state)
+                dists = [outcome_distribution(noisy, s) for s in settings_for(family, n)]
+                assert (estimate_from_distributions(*dists, family, n)
+                        == oracles.estimate_from_distributions(*dists, family, n))
+
+    def test_rejects_distributions_of_the_wrong_length(self):
+        dists = [outcome_distribution(make_ghz(4), s) for s in settings_for("ghz", 4)]
+        for bad in (dists[0][:8], np.concatenate((dists[0], dists[0]))):
+            with pytest.raises(DimensionError):
+                estimate_from_distributions(bad, dists[1], "ghz", 4)
+            with pytest.raises(DimensionError):
+                estimate_from_distributions(dists[0], bad, "ghz", 4)
+
     @pytest.mark.parametrize("family", ["ghz", "cluster"])
     @pytest.mark.parametrize("n", range(2, 9))
     def test_exact_distributions_give_minus_one(self, family, n):

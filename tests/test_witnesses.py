@@ -12,12 +12,15 @@ from stabwit import (
     Witness,
     build_witness,
     expectation,
+    generators_for,
+    get_family,
     make_cluster,
     make_ghz,
     noise_threshold,
     noisy_target_expectation,
     settings_count,
     settings_for,
+    stabilizer_projector_expectation,
     target_state,
     white_noise_mix,
 )
@@ -251,6 +254,22 @@ class TestNoisyTargetExpectation:
         for p in (0.0, 0.4, 1.0):
             want = expectation(w, white_noise_mix(p, state))
             assert noisy_target_expectation(family, n, p) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("family", ["ghz", "cluster"])
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_matches_projector_reference(self, family, n):
+        """The value read off the two settings' distributions against the
+        sequential projection of the statevector, for both thresholds' ends
+        and in between."""
+        state = target_state(family, n)
+        gens = generators_for(family, n).generators
+        first, second = get_family(family).projector_sets(n)
+        pure = 3.0 - 2.0 * sum(stabilizer_projector_expectation(
+            state, [gens[k - 1] for k in indices]) for indices in (first, second))
+        identity = 3.0 - 2.0 * (2.0 ** -len(first) + 2.0 ** -len(second))
+        for p in (0.0, 0.2, 0.5, 1.0):
+            want = p * identity + (1.0 - p) * pure
+            assert abs(noisy_target_expectation(family, n, p) - want) <= 1e-12
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
