@@ -24,6 +24,21 @@ operations: one gather for every <b|Q_g|b>, one product w = C e, and one
 scatter of sum_f w_f P_f into a dense 2^|A| x 2^|A| matrix, followed by
 its eigendecomposition.  It costs O(F * 2^|side|) for F factors, with no
 Python loop over terms; the tables take O(terms * 2^|side|) memory.
+
+A site permutation that leaves the term map unchanged commutes with W and
+maps the product states across one cut onto those across its image cut,
+so both cuts have the same minimum.  The candidates are the adjacent
+transpositions (q, q+1), which generate every permutation, and the
+reflection q -> n+1-q; one counts only if moving every term's x and z bits
+gives back the same term -> coefficient map, so no symmetry is assumed
+from a family's name.  The cuts then fall into orbits (the connected
+components of cut -> canonical image), and the see-saw runs once per
+orbit, on its first cut in enumeration order, with that cut's own random
+streams.  Every other cut of the orbit carries the representative's
+result: the same minimum, convergence flag and restart count, with the
+product state moved onto its sites (and the parts swapped when the image
+of part A is part B), so each cut's states still reach its minimum on
+that cut.  Without a checked symmetry every cut is its own orbit.
 """
 from __future__ import annotations
 
@@ -210,12 +225,14 @@ def see_saw_once(split: _CutTable, init_a: np.ndarray, init_b: np.ndarray) -> Se
     if (init_a.shape, init_b.shape) != ((split.sides[0].dim,), (split.sides[1].dim,)):
         raise DimensionError("start vectors do not match the cut's part dimensions")
     a, b = init_a, init_b
-    value = float(np.vdot(a, _contract(split, b, fixed_side=1) @ a).real)
+    # the operator on part A given |b>: the start value and the next half-step
+    op_a = _contract(split, b, fixed_side=1)
+    value = float(np.vdot(a, op_a @ a).real)
     history = [value]
     converged = False
     iterations = 0
     for iterations in range(1, SEE_SAW_MAX_ITERS + 1):
-        value_a, a = _minimal_eigvec(_contract(split, b, fixed_side=1))
+        value_a, a = _minimal_eigvec(op_a)
         history.append(value_a)
         value_b, b = _minimal_eigvec(_contract(split, a, fixed_side=0))
         history.append(value_b)
@@ -224,17 +241,23 @@ def see_saw_once(split: _CutTable, init_a: np.ndarray, init_b: np.ndarray) -> Se
             value = value_b
             break
         value = value_b
+        op_a = _contract(split, b, fixed_side=1)
     return SeeSawTrace(value, a, b, converged, iterations, history)
 
 
 @dataclass(frozen=True)
 class CutResult:
+    """The minimum over one cut.  ``orbit_of`` names the cut whose see-saw
+    this result carries through a symmetry, or is None when the see-saw
+    ran on this cut itself."""
+
     cut: Bipartition
     min_value: float
     state_a: np.ndarray
     state_b: np.ndarray
     converged: bool
     restarts: int
+    orbit_of: Bipartition | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -243,6 +266,7 @@ class CutResult:
             "min_value": self.min_value,
             "converged": self.converged,
             "restarts": self.restarts,
+            "orbit_of": list((self.orbit_of or self.cut).part_a),
         }
 
 
@@ -320,11 +344,80 @@ class BisepReport:
         }
 
 
+def _swap_bits(bits: int, low: int) -> int:
+    """Exchange bits low and low + 1."""
+    differ = ((bits >> low) ^ (bits >> (low + 1))) & 1
+    return bits ^ (differ * (3 << low))
+
+
+def _site_symmetries(terms, n: int) -> list[tuple[int, ...]]:
+    """The candidate site permutations that leave the term map unchanged,
+    each as the tuple of images of sites 1..n.  Site q is bit n - q of the
+    x and z masks, and every term carries phase +1, so a term is its
+    (x, z) pair."""
+    table = {(t.x_bits, t.z_bits): c for t, c in terms.items()}
+    candidates = []
+    for p in range(1, n):
+        perm = list(range(1, n + 1))
+        perm[p - 1], perm[p] = p + 1, p
+        candidates.append((tuple(perm), lambda bits, low=n - p - 1: _swap_bits(bits, low)))
+    candidates.append((tuple(range(n, 0, -1)),
+                       lambda bits: int(format(bits, f"0{n}b")[::-1], 2)))
+    return [perm for perm, move in candidates
+            if {(move(x), move(z)): c for (x, z), c in table.items()} == table]
+
+
+def _cut_orbits(cuts: Sequence[Bipartition],
+                perms: Sequence[tuple[int, ...]]) -> list[tuple[int, tuple[int, ...]]]:
+    """For each cut, the index of its orbit's first cut and a site map that
+    takes that cut's sites onto this cut's (identity for a representative)."""
+    index = {cut.part_a: i for i, cut in enumerate(cuts)}
+    orbits: list = [None] * len(cuts)
+    for first, cut in enumerate(cuts):
+        if orbits[first] is not None:
+            continue
+        orbits[first] = (first, tuple(range(1, cut.n + 1)))
+        stack = [first]
+        while stack:
+            i = stack.pop()
+            sites = orbits[i][1]
+            for perm in perms:
+                image = {perm[q - 1] for q in cuts[i].part_a}
+                if 1 not in image:
+                    image = set(range(1, cut.n + 1)) - image
+                k = index[tuple(sorted(image))]
+                if orbits[k] is None:
+                    orbits[k] = (first, tuple(perm[s - 1] for s in sites))
+                    stack.append(k)
+    return orbits
+
+
+def _move_sites(vec: np.ndarray, sites: Sequence[int], site_map: Sequence[int]) -> np.ndarray:
+    """A vector on the given sites, moved onto their images in ascending order."""
+    order = np.argsort([site_map[s - 1] for s in sites])
+    return vec.reshape([2] * len(sites)).transpose(order).reshape(-1)
+
+
+def _carried(result: CutResult, cut: Bipartition, site_map: Sequence[int]) -> CutResult:
+    """A representative's result moved onto a cut of its orbit."""
+    src = result.cut
+    state_a = _move_sites(result.state_a, src.part_a, site_map)
+    state_b = _move_sites(result.state_b, src.part_b, site_map)
+    if site_map[0] in cut.part_b:
+        state_a, state_b = state_b, state_a
+    return CutResult(cut, result.min_value, state_a, state_b,
+                     result.converged, result.restarts, orbit_of=src)
+
+
 def certify(w, restarts: int = 20, seed: int = 0) -> BisepReport:
-    """Minimise <W> over every bipartition; PASS iff the global minimum is
-    not below -PASS_TOLERANCE."""
-    results = tuple(min_over_cut(w, cut, restarts=restarts, seed=seed)
-                    for cut in enumerate_bipartitions(w.n))
+    """Minimise <W> over every bipartition, once per orbit of cuts under the
+    checked site symmetries; PASS iff the global minimum is not below
+    -PASS_TOLERANCE."""
+    cuts = enumerate_bipartitions(w.n)
+    results: list[CutResult] = []
+    for cut, (first, site_map) in zip(cuts, _cut_orbits(cuts, _site_symmetries(w.terms, w.n))):
+        results.append(min_over_cut(w, cut, restarts=restarts, seed=seed)
+                       if cuts[first] is cut else _carried(results[first], cut, site_map))
     global_min = min(c.min_value for c in results)
     # any expectation is bounded by the L1 norm of the coefficients; a
     # violation means the optimiser itself is broken
@@ -332,5 +425,5 @@ def certify(w, restarts: int = 20, seed: int = 0) -> BisepReport:
     if global_min < floor:
         raise NumericError(f"minimum {global_min} below the operator bound {floor}")
     return BisepReport(
-        family=w.family, n=w.n, restarts=restarts, seed=seed, cuts=results,
+        family=w.family, n=w.n, restarts=restarts, seed=seed, cuts=tuple(results),
         global_min=global_min, passed=global_min >= -PASS_TOLERANCE)

@@ -258,8 +258,9 @@ def cmd_certify(config: RunConfig) -> int:
     print(f"family {config.family}, n={config.n}, restarts {config.restarts}, "
           f"seed {config.seed}{', negated control' if config.negate else ''}")
     for cut in report.cuts:
+        carried = f"  carried from {cut.orbit_of.label}" if cut.orbit_of else ""
         print(f"  cut {cut.cut.label:<15s} min {cut.min_value:+.3e} "
-              f"converged {cut.converged}")
+              f"converged {cut.converged}{carried}")
     print(f"global minimum {report.global_min:+.3e} "
           f"(pass tolerance -{PASS_TOLERANCE:g})")
     print("certification:", "PASS" if report.passed else "FAIL")

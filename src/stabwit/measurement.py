@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -111,21 +112,37 @@ class CountsTable:
     def __post_init__(self) -> None:
         if self.shots < 1:
             raise DomainError(f"shots must be positive, got {self.shots}")
-        total = 0
+        keys, values = self.counts.keys(), self.counts.values()
+        # every key one byte string of 0/1 of the right length; a
+        # non-ASCII character becomes "?" and so fails the same test
+        well_formed = (set(map(len, keys)) <= {self.setting.n}
+                       and not "".join(keys).encode("ascii", "replace").translate(None, b"01")
+                       and (not values or min(values) >= 0))
+        if not well_formed:
+            self._raise_on_first_bad_entry()
+        total = sum(values)
+        if total != self.shots:
+            raise ContractError(f"counts sum to {total}, expected {self.shots} shots")
+
+    def _raise_on_first_bad_entry(self) -> None:
         for key, value in self.counts.items():
             if len(key) != self.setting.n or key.strip("01"):
                 raise ContractError(f"bad outcome key {key!r} for n={self.setting.n}")
             if value < 0:
                 raise ContractError(f"negative count for {key!r}")
-            total += value
-        if total != self.shots:
-            raise ContractError(f"counts sum to {total}, expected {self.shots} shots")
+
+    @cached_property
+    def _sorted_counts(self) -> dict[str, int]:
+        """The counts in key order, built once per table and shared by every
+        ``to_dict``, so a table written to a file and into a record is
+        sorted once."""
+        return {k: int(v) for k, v in sorted(self.counts.items())}
 
     def to_dict(self) -> dict:
         return {
             "setting": self.setting.axes,
             "shots": self.shots,
-            "counts": {k: int(v) for k, v in sorted(self.counts.items())},
+            "counts": self._sorted_counts,
         }
 
     @classmethod

@@ -7,10 +7,12 @@ Density matrices are materialised only here and only for small n.
 The exceptions are the references at the end: the per-key outcome-parity
 loops that the vectorised parity count replaced, the per-term half-step
 loop and the key-based eigenvector choice that the vectorised see-saw
-replaced, the copying basis rotation, the full-outcome-matrix estimator and
-the per-outcome key formatting that the in-place butterfly, the null-space
-enumeration and the one-pass key rendering replaced, kept verbatim so that
-a test can pin each fast path to the path it replaces; and
+replaced, the see-saw restart that contracted its first operator twice,
+the copying basis rotation, the full-outcome-matrix estimator and the
+per-outcome key formatting that the in-place butterfly, the null-space
+enumeration and the one-pass key rendering replaced, and the per-entry
+counts-table check that the byte-level check replaced, kept verbatim so
+that a test can pin each fast path to the path it replaces; and
 ``setting_measures``, which checks the derived settings letter by letter.
 """
 from __future__ import annotations
@@ -19,6 +21,15 @@ import itertools
 
 import numpy as np
 
+from stabwit.bisep import (
+    SEE_SAW_MAX_ITERS,
+    SEE_SAW_TOL,
+    SeeSawTrace,
+    _contract,
+    _CutTable,
+    _minimal_eigvec,
+)
+from stabwit.errors import ContractError, DimensionError
 from stabwit.measurement import _even_parity, _setting_generators, _support_columns
 from stabwit.pauli import PauliString
 from stabwit.states import _apply_raw
@@ -189,6 +200,29 @@ def keyed_minimal_eigvec(m, atol=1e-12):
     return float(vals[0]), min(candidates, key=key)
 
 
+def see_saw_once(split: _CutTable, init_a: np.ndarray, init_b: np.ndarray) -> SeeSawTrace:
+    """Alternate exact eigen-minimisation over the two parts until the value
+    moves by less than SEE_SAW_TOL over a full sweep."""
+    if (init_a.shape, init_b.shape) != ((split.sides[0].dim,), (split.sides[1].dim,)):
+        raise DimensionError("start vectors do not match the cut's part dimensions")
+    a, b = init_a, init_b
+    value = float(np.vdot(a, _contract(split, b, fixed_side=1) @ a).real)
+    history = [value]
+    converged = False
+    iterations = 0
+    for iterations in range(1, SEE_SAW_MAX_ITERS + 1):
+        value_a, a = _minimal_eigvec(_contract(split, b, fixed_side=1))
+        history.append(value_a)
+        value_b, b = _minimal_eigvec(_contract(split, a, fixed_side=0))
+        history.append(value_b)
+        if abs(value_b - value) < SEE_SAW_TOL:
+            converged = True
+            value = value_b
+            break
+        value = value_b
+    return SeeSawTrace(value, a, b, converged, iterations, history)
+
+
 def _rotate_to_measurement_basis(amps: np.ndarray, n: int, axes: str) -> np.ndarray:
     """Hadamard each x-axis site, mapping its x eigenbasis onto bit values."""
     tensor = amps.reshape([2] * n)
@@ -228,3 +262,17 @@ def formatted_counts(drawn: np.ndarray, n: int) -> dict:
     seen = np.flatnonzero(drawn)
     width = f"0{n}b"
     return dict(zip([format(i, width) for i in seen.tolist()], drawn[seen].tolist()))
+
+
+def loop_counts_check(setting, shots, counts) -> None:
+    """The counts-table check one entry at a time, raising on the first bad
+    key or value and then on a wrong total."""
+    total = 0
+    for key, value in counts.items():
+        if len(key) != setting.n or key.strip("01"):
+            raise ContractError(f"bad outcome key {key!r} for n={setting.n}")
+        if value < 0:
+            raise ContractError(f"negative count for {key!r}")
+        total += value
+    if total != shots:
+        raise ContractError(f"counts sum to {total}, expected {shots} shots")

@@ -8,7 +8,10 @@ from stabwit import (
     CutResult,
     DimensionError,
     DomainError,
+    PauliString,
     StateVector,
+    Witness,
+    bisep,
     build_witness,
     certify,
     enumerate_bipartitions,
@@ -16,14 +19,31 @@ from stabwit import (
     min_over_cut,
     product_state,
 )
-from stabwit.bisep import _contract, _minimal_eigvec, _split_terms, see_saw_once
+from stabwit.bisep import (
+    _contract,
+    _cut_orbits,
+    _minimal_eigvec,
+    _site_symmetries,
+    _split_terms,
+    see_saw_once,
+)
 
+import oracles
 from oracles import (
     keyed_minimal_eigvec,
     per_term_contract,
     per_term_split,
     random_state_vector,
 )
+
+
+def _witnesses(ns):
+    """Both families and their negations over the given qubit counts."""
+    for family in ("ghz", "cluster"):
+        for n in ns:
+            w = build_witness(family, n)
+            yield w
+            yield w.negated()
 
 
 class TestBipartitions:
@@ -192,6 +212,20 @@ class TestSeeSaw:
         with pytest.raises(DimensionError):
             see_saw_once(split, b, a)
 
+    def test_equals_restart_that_contracts_its_first_operator_twice(self, rng):
+        for w in _witnesses(range(2, 6)):
+            for cut in enumerate_bipartitions(w.n):
+                split = _split_terms(w.terms, cut)
+                for _ in range(3):
+                    a = random_state_vector(rng, len(cut.part_a))
+                    b = random_state_vector(rng, len(cut.part_b))
+                    got, want = see_saw_once(split, a, b), oracles.see_saw_once(split, a, b)
+                    assert got.value == want.value
+                    assert np.array_equal(got.state_a, want.state_a)
+                    assert np.array_equal(got.state_b, want.state_b)
+                    assert (got.converged, got.iterations) == (want.converged, want.iterations)
+                    assert got.history == want.history
+
     def test_restart_domain(self):
         w = build_witness("ghz", 2)
         with pytest.raises(DomainError):
@@ -227,17 +261,35 @@ class TestCertify:
             b = certify(w, restarts=40, seed=0).global_min
             assert abs(a - b) < 1e-6
 
-    def test_report_round_trip_and_schema(self):
+    @staticmethod
+    def _schema():
         import json
-        import jsonschema
         from importlib import resources
+
+        return json.loads(resources.files("stabwit")
+                          .joinpath("schemas/bisep_report.schema.json").read_text())
+
+    def test_report_round_trip_and_schema(self):
+        import jsonschema
 
         report = certify(build_witness("ghz", 3), restarts=5, seed=0)
         d = report.to_dict()
-        schema = json.loads(resources.files("stabwit")
-                            .joinpath("schemas/bisep_report.schema.json").read_text())
-        jsonschema.validate(d, schema)
+        jsonschema.validate(d, self._schema())
         assert d["global_min"] == min(c["min_value"] for c in d["cuts"])
+
+    @pytest.mark.parametrize("family", ["ghz", "cluster"])
+    def test_schema_accepts_carried_cuts(self, family):
+        import jsonschema
+
+        report = certify(build_witness(family, 4), restarts=5, seed=0)
+        d = report.to_dict()
+        jsonschema.validate(d, self._schema())
+        assert [c["orbit_of"] for c in d["cuts"]] == [
+            list((c.orbit_of or c.cut).part_a) for c in report.cuts]
+        assert any(c["orbit_of"] != c["part_a"] for c in d["cuts"])
+        del d["cuts"][0]["orbit_of"]
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(d, self._schema())
 
     def test_argmin_cut(self):
         report = certify(build_witness("cluster", 3), restarts=5, seed=0)
@@ -259,3 +311,90 @@ class TestCertify:
     def test_argmin_takes_a_clearly_lower_later_cut(self):
         report = self._report([0.0, 1e-15, -1e-6])
         assert report.argmin_cut is report.cuts[2]
+
+
+class TestCutOrbits:
+    """One see-saw per orbit of cuts under the checked site symmetries."""
+
+    @staticmethod
+    def _orbit_count(w):
+        cuts = enumerate_bipartitions(w.n)
+        return len({first for first, _ in _cut_orbits(cuts, _site_symmetries(w.terms, w.n))})
+
+    def test_ghz_cut_sizes_are_the_orbits(self):
+        for n in range(2, 9):
+            assert self._orbit_count(build_witness("ghz", n)) == n // 2
+        assert self._orbit_count(build_witness("ghz", 12)) == 6
+
+    def test_cluster_orbits_under_reflection(self):
+        counts = {n: self._orbit_count(build_witness("cluster", n)) for n in (3, 4, 5)}
+        assert counts == {3: 2, 4: 5, 5: 9}
+
+    def test_checked_symmetries(self):
+        for n in range(3, 9):
+            ghz, cluster = (_site_symmetries(build_witness(f, n).terms, n)
+                            for f in ("ghz", "cluster"))
+            assert len(ghz) == n  # every adjacent transposition and the reflection
+            assert cluster == [tuple(range(n, 0, -1))]
+
+    def test_representative_is_first_and_maps_onto_each_cut(self):
+        for w in _witnesses(range(2, 7)):
+            cuts = enumerate_bipartitions(w.n)
+            for i, (first, site_map) in enumerate(_cut_orbits(cuts, _site_symmetries(w.terms, w.n))):
+                assert first <= i
+                image = {site_map[q - 1] for q in cuts[first].part_a}
+                assert image in (set(cuts[i].part_a), set(cuts[i].part_b))
+
+    @pytest.mark.parametrize("family, letters", [("ghz", "ZIZI"), ("cluster", "XZII")])
+    def test_perturbed_term_breaks_the_symmetry(self, family, letters, monkeypatch):
+        w = build_witness(family, 4)
+        term = PauliString.from_ops(letters)
+        assert term in w.terms
+        terms = dict(w.terms)
+        terms[term] += 1e-3
+        perturbed = Witness(4, family, terms)
+        assert _site_symmetries(perturbed.terms, 4) == []
+
+        calls = []
+        direct = bisep.min_over_cut
+        monkeypatch.setattr(bisep, "min_over_cut",
+                            lambda *args, **kw: calls.append(args[1]) or direct(*args, **kw))
+        report = certify(perturbed, restarts=5, seed=2)
+        cuts = enumerate_bipartitions(4)
+        assert calls == cuts
+        assert all(c.orbit_of is None for c in report.cuts)
+        assert [c.min_value for c in report.cuts] == [
+            direct(perturbed, cut, restarts=5, seed=2).min_value for cut in cuts]
+
+    def test_representatives_equal_direct_runs(self):
+        for w in _witnesses(range(2, 6)):
+            for c in certify(w, restarts=5, seed=3).cuts:
+                if c.orbit_of is not None:
+                    continue
+                direct = min_over_cut(w, c.cut, restarts=5, seed=3)
+                assert c.min_value == direct.min_value
+                assert np.array_equal(c.state_a, direct.state_a)
+                assert np.array_equal(c.state_b, direct.state_b)
+                assert (c.converged, c.restarts) == (direct.converged, direct.restarts)
+
+    def test_carried_cuts_reach_their_minimum_on_their_own_cut(self):
+        for w in _witnesses(range(2, 7)):
+            report = certify(w, restarts=20, seed=0)
+            for c in report.cuts:
+                value = expectation(w, product_state(c.cut, c.state_a, c.state_b))
+                assert abs(value - c.min_value) <= 1e-12
+                if c.orbit_of is not None:
+                    own = min_over_cut(w, c.cut, restarts=20, seed=0)
+                    assert abs(own.min_value - c.min_value) <= 1e-9
+            assert report.argmin_cut.orbit_of is None
+
+    def test_carried_cut_copies_its_representative(self):
+        report = certify(build_witness("cluster", 4), restarts=5, seed=0)
+        by_part = {c.cut.part_a: c for c in report.cuts}
+        carried = [c for c in report.cuts if c.orbit_of is not None]
+        assert [(c.cut.label, c.orbit_of.label) for c in carried] == [
+            ("1,2,3|4", "1|2,3,4"), ("1,3,4|2", "1,2,4|3")]
+        for c in carried:
+            rep = by_part[c.orbit_of.part_a]
+            assert (c.min_value, c.converged, c.restarts) == (
+                rep.min_value, rep.converged, rep.restarts)

@@ -248,9 +248,11 @@ class TestCertify:
                             "--out", str(out_path)], capsys)
         assert code == 0
         assert "certification: PASS" in out
+        assert "cut 1,2|3" in out and "carried from 1|2,3" in out
         record = json.loads(out_path.read_text())
         jsonschema.validate(record["report"], load_schema("bisep_report"))
         assert abs(record["report"]["global_min"]) < 1e-6
+        assert [c["orbit_of"] for c in record["report"]["cuts"]] == [[1], [1], [1]]
 
     def test_cluster_pass(self, capsys):
         code, out, _ = run(["certify", "--family", "cluster", "--n", "4",

@@ -464,6 +464,36 @@ class TestCountsIO:
         with pytest.raises(DomainError):
             CountsTable(setting, 0, {})
 
+    @pytest.mark.parametrize("shots, counts", [
+        (6, {"000": 1, "0x1": 2, "111": 3}),  # bad character mid-key
+        (6, {"000": 1, "0\u00e91": 2, "111": 3}),  # non-ASCII character
+        (6, {"000": 1, "01": 2, "111": 3}),  # wrong length
+        (6, {"000": 1, "0101": 2, "111": 3}),  # wrong length
+        (2, {"000": 4, "011": -2}),  # negative count
+        (7, {"000": 1, "011": 2, "111": 3}),  # wrong total
+        (6, {"000": 1, "0x1": -2, "1": 7}),  # first bad entry named
+        (1, {}),  # empty table, wrong total
+    ])
+    def test_rejects_with_the_per_entry_message(self, shots, counts):
+        setting = MeasurementSetting(3, "zzz")
+        with pytest.raises(ContractError) as want:
+            oracles.loop_counts_check(setting, shots, counts)
+        with pytest.raises(ContractError) as got:
+            CountsTable(setting, shots, counts)
+        assert str(got.value) == str(want.value)
+
+    def test_accepts_what_the_per_entry_check_accepts(self):
+        setting = MeasurementSetting(3, "xzx")
+        counts = {"000": 0, "101": 4, "111": 3}
+        oracles.loop_counts_check(setting, 7, counts)
+        assert CountsTable(setting, 7, counts).counts == counts
+
+    def test_sorted_counts_are_built_once(self):
+        table = CountsTable(MeasurementSetting(2, "zz"), 5, {"11": 3, "00": 2})
+        first, second = table.to_dict(), table.to_dict()
+        assert list(first["counts"].items()) == [("00", 2), ("11", 3)]
+        assert second["counts"] is first["counts"]
+
     @pytest.mark.parametrize("d", [
         ["zz", 2, {"00": 2}],
         "counts",
