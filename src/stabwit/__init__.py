@@ -20,18 +20,14 @@ from .pauli import (
 from .states import (
     NoisyState,
     StateVector,
-    apply_pauli,
     expectation,
     make_cluster,
     make_ghz,
-    schmidt_coefficients,
     stabilizer_projector_expectation,
     white_noise_mix,
 )
 from .families import (
     FAMILIES,
-    FAMILY_CLUSTER,
-    FAMILY_GHZ,
     Family,
     get_family,
 )
@@ -39,9 +35,7 @@ from .measurement import (
     CountsTable,
     MeasurementSetting,
     WitnessEstimate,
-    correlation_from_counts,
     draw_counts,
-    estimate_from_distributions,
     estimate_witness,
     outcome_distribution,
     sample_outcomes,
@@ -54,7 +48,6 @@ from .witnesses import (
     build_witness,
     noise_threshold,
     noisy_target_expectation,
-    settings_count,
     target_state,
 )
 from .bisep import (
@@ -64,7 +57,6 @@ from .bisep import (
     certify,
     enumerate_bipartitions,
     min_over_cut,
-    product_state,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -49,7 +49,6 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, NumericError
 from .pauli import PauliString
-from .states import StateVector
 
 PASS_TOLERANCE = 1e-6
 SEE_SAW_TOL = 1e-10
@@ -94,17 +93,6 @@ def enumerate_bipartitions(n: int) -> list[Bipartition]:
         part_a = (1,) + tuple(k for k in range(2, n + 1) if (mask >> (k - 2)) & 1)
         cuts.append(Bipartition.from_part_a(n, part_a))
     return cuts
-
-
-def product_state(cut: Bipartition, vec_a: np.ndarray, vec_b: np.ndarray) -> StateVector:
-    """Assemble |a> on part A and |b> on part B into a full-register state."""
-    na, nb = len(cut.part_a), len(cut.part_b)
-    if vec_a.shape != (1 << na,) or vec_b.shape != (1 << nb,):
-        raise DimensionError("part vectors do not match the cut dimensions")
-    tensor = np.multiply.outer(vec_a, vec_b).reshape([2] * cut.n)
-    combined = list(cut.part_a) + list(cut.part_b)
-    axes = [combined.index(site) for site in range(1, cut.n + 1)]
-    return StateVector(cut.n, tensor.transpose(axes).reshape(-1))
 
 
 def _restrict(p: PauliString, sites: Sequence[int]) -> PauliString:

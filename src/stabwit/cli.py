@@ -29,16 +29,22 @@ from .bisep import PASS_TOLERANCE, certify
 from .errors import StabwitError
 from .families import FAMILIES
 from .jsontext import dumps
-from .measurement import CountsTable, draw_counts, estimate_witness, setting_distributions
-from .states import MAX_QUBITS
-from .witnesses import build_witness, noise_threshold, noisy_target_expectation
+from .measurement import (
+    MAX_SEED,
+    MAX_SHOTS,
+    CountsTable,
+    draw_counts,
+    estimate_witness,
+    setting_distributions,
+)
+from .states import MAX_QUBITS, white_noise_mix
+from .witnesses import build_witness, noise_threshold, noisy_target_expectation, target_state
 
 SEED_ENV_VAR = "STABWIT_SEED"
 # expectations this close to zero cannot certify detection
 DETECTION_ATOL = 1e-12
 
 TABLE_N_RANGE = (2, 16)
-EVAL_MAX_QUBITS = MAX_QUBITS
 CERTIFY_MAX_QUBITS = 12
 
 
@@ -196,9 +202,6 @@ def cmd_eval(config: RunConfig) -> int:
 # --- simulate ----------------------------------------------------------------
 
 def _simulate_counts(config: RunConfig) -> tuple[CountsTable, CountsTable, float | None]:
-    from .states import white_noise_mix
-    from .witnesses import target_state
-
     state = white_noise_mix(config.p_noise, target_state(config.family, config.n))
     settings, dists, exact = setting_distributions(state, config.family)
     counts_a, counts_b = (draw_counts(setting, dist, config.shots, seed=config.seed + k)
@@ -349,23 +352,24 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def _validate(config: RunConfig) -> None:
     if config.command == "eval":
-        if not 2 <= config.n <= EVAL_MAX_QUBITS:
-            raise UsageError(f"eval supports n in 2..{EVAL_MAX_QUBITS}, got {config.n}")
+        if not 2 <= config.n <= MAX_QUBITS:
+            raise UsageError(f"eval supports n in 2..{MAX_QUBITS}, got {config.n}")
         if not 0.0 <= config.p_noise <= 1.0:
             raise UsageError(f"p_noise must lie in [0, 1], got {config.p_noise}")
     elif config.command == "simulate":
         if config.ingest is None:
             if config.n is None:
                 raise UsageError("simulate needs --n unless --ingest is used")
-            if not 2 <= config.n <= EVAL_MAX_QUBITS:
-                raise UsageError(f"simulate supports n in 2..{EVAL_MAX_QUBITS}, "
+            if not 2 <= config.n <= MAX_QUBITS:
+                raise UsageError(f"simulate supports n in 2..{MAX_QUBITS}, "
                                  f"got {config.n}")
             if not 0.0 <= config.p_noise <= 1.0:
                 raise UsageError(f"p_noise must lie in [0, 1], got {config.p_noise}")
-            if config.shots < 1:
-                raise UsageError(f"shots must be positive, got {config.shots}")
-            if config.seed < 0:
-                raise UsageError(f"seed must be nonnegative, got {config.seed}")
+            if not 1 <= config.shots <= MAX_SHOTS:
+                raise UsageError(f"shots must lie in 1..{MAX_SHOTS}, got {config.shots}")
+            # setting B draws with seed + 1
+            if not 0 <= config.seed < MAX_SEED:
+                raise UsageError(f"seed must lie in 0..{MAX_SEED - 1}, got {config.seed}")
     elif config.command == "certify":
         if not 2 <= config.n <= CERTIFY_MAX_QUBITS:
             raise UsageError(f"certify supports n in 2..{CERTIFY_MAX_QUBITS}, "

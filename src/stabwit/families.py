@@ -36,20 +36,17 @@ class Family:
     closed_form_threshold: Callable[[int], float]
 
 
-FAMILY_GHZ = "ghz"
-FAMILY_CLUSTER = "cluster"
-
 # the entries look the constructors up by global name on every call, so a
 # wrapper rebound over those names (as the benchmark's tracer does) sees it
 FAMILIES: dict[str, Family] = {f.name: f for f in (
     Family(
-        name=FAMILY_GHZ,
+        name="ghz",
         generators=lambda n: ghz_generators(n),
         projector_sets=lambda n: ([1], list(range(2, n + 1))),
         target=lambda n: make_ghz(n),
         closed_form_threshold=lambda n: 1.0 / (3.0 - 4.0 / 2 ** n)),
     Family(
-        name=FAMILY_CLUSTER,
+        name="cluster",
         generators=lambda n: cluster_generators(n),
         projector_sets=lambda n: (list(range(2, n + 1, 2)), list(range(1, n + 1, 2))),
         target=lambda n: make_cluster(n),

@@ -22,12 +22,12 @@ The witness value of exact distributions is each setting's probability
 mass on the outcomes with even parity on every generator's support.  Those
 outcomes are the GF(2) null space of the supports, enumerated in ascending
 order, so the mass sums the same elements in the same order as a test of
-every outcome would.  Every outcome parity of counts, for the witness
-estimate and for correlations, is counted by one routine over a 0/1
-outcome matrix with a column per qubit.  A counts table's keys become that
-matrix in one buffer read, so no outcome is packed into a fixed-width
-integer and tables of any width work; shot counts are summed as Python
-integers, so estimates are exact ratios of the counted shots.
+every outcome would.  The outcome parities of counts are counted by one
+routine over a 0/1 outcome matrix with a column per qubit.  A counts
+table's keys become that matrix in one buffer read, so no outcome is
+packed into a fixed-width integer and tables of any width work; shot
+counts are summed as Python integers, so estimates are exact ratios of
+the counted shots.
 """
 from __future__ import annotations
 
@@ -51,6 +51,9 @@ _SQRT1_2 = 1.0 / np.sqrt(2.0)
 _BUTTERFLY_SIGNS = np.array([[1.0], [-1.0]])
 _BUTTERFLY_SCALES = np.array([[_SQRT1_2], [-_SQRT1_2]])
 PROB_ATOL = 1e-12
+# numpy's multinomial counts shots in a C long; Philox takes a 128-bit key
+MAX_SHOTS = (1 << 63) - 1
+MAX_SEED = (1 << 128) - 1
 _AXIS_OF_X_BIT = str.maketrans("10", "xz")
 
 
@@ -218,10 +221,10 @@ def draw_counts(setting: MeasurementSetting, probs: np.ndarray,
                 shots: int, seed: int) -> CountsTable:
     """Draw i.i.d. outcomes from the setting's exact distribution; deterministic
     in seed.  Every drawn key is rendered in one pass over the outcome bits."""
-    if shots < 1:
-        raise DomainError(f"shots must be positive, got {shots}")
-    if seed < 0:
-        raise DomainError(f"seed must be nonnegative, got {seed}")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise DomainError(f"shots must lie in 1..{MAX_SHOTS}, got {shots}")
+    if not 0 <= seed <= MAX_SEED:
+        raise DomainError(f"seed must lie in 0..{MAX_SEED}, got {seed}")
     n = setting.n
     if np.shape(probs) != (1 << n,):
         raise DimensionError(f"need {1 << n} probabilities for n={n}, "
@@ -264,18 +267,6 @@ def _support_columns(gens: Sequence[PauliString]) -> list[list[int]]:
     return [[q - 1 for q in range(1, g.n + 1) if g.letter_at(q) != "I"] for g in gens]
 
 
-def correlation_from_counts(table: CountsTable, sites: Iterable[int]) -> float:
-    """Empirical product correlation of the +-1 outcomes on the given sites."""
-    chosen = sorted(set(sites))
-    n = table.setting.n
-    if not chosen:
-        raise DomainError("need at least one site")
-    if chosen[0] < 1 or chosen[-1] > n:
-        raise DomainError(f"sites must lie in 1..{n}: {chosen}")
-    even = _even_shots(table, [[q - 1 for q in chosen]])
-    return (2 * even - table.shots) / table.shots
-
-
 def _even_outcomes(n: int, masks: Iterable[int]) -> np.ndarray:
     """The outcomes, ascending, with even parity on every bitmask (qubit 1 =
     most significant bit): the GF(2) null space of the masks.
@@ -313,18 +304,8 @@ def _witness_value(dist_a: np.ndarray, dist_b: np.ndarray, n: int,
     generator's support."""
     masses = []
     for dist, setting_gens in zip((dist_a, dist_b), gens):
-        if np.shape(dist) != (1 << n,):
-            raise DimensionError(f"need {1 << n} probabilities for n={n}, "
-                                 f"got shape {np.shape(dist)}")
         masses.append(float(dist[_even_outcomes(n, [g.support for g in setting_gens])].sum()))
     return 3.0 - 2.0 * (masses[0] + masses[1])
-
-
-def estimate_from_distributions(dist_a: np.ndarray, dist_b: np.ndarray,
-                                family: str, n: int) -> float:
-    """Infinite-shot witness value 3 - 2(<P_1> + <P_2>) from exact outcome
-    distributions of the two settings."""
-    return _witness_value(dist_a, dist_b, n, _setting_generators(family, n))
 
 
 def setting_distributions(state: State, family: str) -> tuple[

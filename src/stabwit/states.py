@@ -109,13 +109,6 @@ def _apply_raw(p: PauliString, amps: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_pauli(p: PauliString, s: StateVector) -> StateVector:
-    """Exact action of a Pauli string on a state; norm preserving."""
-    if p.n != s.n:
-        raise DimensionError(f"operator on {p.n} qubits, state on {s.n}")
-    return StateVector(s.n, _apply_raw(p, s.amplitudes))
-
-
 def _pure_pauli_expectation(p: PauliString, s: StateVector) -> complex:
     if p.n != s.n:
         raise DimensionError(f"operator on {p.n} qubits, state on {s.n}")
@@ -178,18 +171,3 @@ def stabilizer_projector_expectation(s: StateVector, gens: Iterable[PauliString]
             raise DimensionError(f"generator on {g.n} qubits, state on {s.n}")
         phi = (phi + _apply_raw(g, phi)) / 2.0
     return _guard_real(complex(np.vdot(s.amplitudes, phi)), "projector expectation")
-
-
-def schmidt_coefficients(s: StateVector, part_sites: Iterable[int]) -> np.ndarray:
-    """Singular values of the amplitude matrix across the given bipartition.
-
-    ``part_sites`` are 1-based; the complementary sites form the other side.
-    """
-    part = sorted(set(part_sites))
-    if not part or any(q < 1 or q > s.n for q in part) or len(part) >= s.n:
-        raise DomainError("part must be a nonempty proper subset of 1..n")
-    rest = [q for q in range(1, s.n + 1) if q not in part]
-    perm = [q - 1 for q in part] + [q - 1 for q in rest]
-    tensor = s.amplitudes.reshape([2] * s.n).transpose(perm)
-    matrix = tensor.reshape(1 << len(part), 1 << len(rest))
-    return np.linalg.svd(matrix, compute_uv=False)

@@ -34,7 +34,6 @@ expectation itself.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -42,7 +41,7 @@ from scipy.optimize import brentq
 
 from .errors import DomainError, NumericError
 from .families import FAMILIES, get_family
-from .measurement import MeasurementSetting, setting_distributions, settings_for
+from .measurement import setting_distributions
 from .pauli import GeneratorSet, PauliString, generators_for, subgroup_product
 from .states import StateVector, white_noise_mix
 
@@ -67,46 +66,9 @@ class Witness:
                 raise DomainError(f"term {term} must carry phase +1; fold signs "
                                   "into the coefficient")
 
-    @property
-    def settings(self) -> tuple[MeasurementSetting, MeasurementSetting]:
-        """The two local settings that measure every term, fixed by (family, n)."""
-        return settings_for(self.family, self.n)
-
-    @property
-    def identity_coefficient(self) -> float:
-        """Coefficient of the identity term, i.e. tr(W)/2^n."""
-        return float(self.terms.get(PauliString.identity(self.n), 0.0))
-
     def negated(self) -> "Witness":
         """Sign-flipped operator; used as a should-fail certification control."""
         return Witness(self.n, self.family, {t: -c for t, c in self.terms.items()})
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "n": self.n,
-            "terms": [{"string": str(t), "coeff": float(c)}
-                      for t, c in sorted(self.terms.items(), key=lambda tc: str(tc[0]))],
-            "settings": [s.axes for s in self.settings],
-        }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "Witness":
-        n = int(d["n"])
-        terms = {PauliString.parse(t["string"]): float(t["coeff"]) for t in d["terms"]}
-        w = cls(n, str(d["family"]), terms)
-        expected = [s.axes for s in w.settings]
-        if list(d["settings"]) != expected:
-            raise DomainError(f"settings {list(d['settings'])} contradict {w.family} "
-                              f"n={n}, which is measured with {expected}")
-        return w
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "Witness":
-        return cls.from_dict(json.loads(text))
 
 
 def _add_term(terms: dict[PauliString, float], p: PauliString, coeff: float) -> None:
@@ -221,15 +183,3 @@ def noise_threshold(family: str, n: int) -> ThresholdReport:
             f"closed {closed!r} vs root {root!r}")
     return ThresholdReport(family=family, n=n, trace_p1=tr1, trace_p2=tr2,
                            p_closed_form=closed, p_root_find=root)
-
-
-def settings_count(method: str, n: int) -> int:
-    """Local measurement settings needed: 2 for the witnesses, 2^n for a
-    GHZ Bell-inequality test."""
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
-    if method == "witness":
-        return 2
-    if method == "bell_ghz":
-        return 2 ** n
-    raise DomainError(f"unknown method {method!r}")

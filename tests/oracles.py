@@ -12,27 +12,33 @@ the copying basis rotation, the full-outcome-matrix estimator and the
 per-outcome key formatting that the in-place butterfly, the null-space
 enumeration and the one-pass key rendering replaced, and the per-entry
 counts-table check that the byte-level check replaced, kept verbatim so
-that a test can pin each fast path to the path it replaces; and
-``setting_measures``, which checks the derived settings letter by letter.
+that a test can pin each fast path to the path it replaces;
+``setting_measures``, which checks the derived settings letter by letter;
+and ``apply_pauli``, ``schmidt_coefficients`` and ``product_state``, kept
+verbatim from the package, whose own code needs none of them: the Pauli
+action on a whole state, the Schmidt spectrum across a bipartition and
+the full-register state of one cut's two part vectors.
 """
 from __future__ import annotations
 
 import itertools
+from typing import Iterable
 
 import numpy as np
 
 from stabwit.bisep import (
     SEE_SAW_MAX_ITERS,
     SEE_SAW_TOL,
+    Bipartition,
     SeeSawTrace,
     _contract,
     _CutTable,
     _minimal_eigvec,
 )
-from stabwit.errors import ContractError, DimensionError
+from stabwit.errors import ContractError, DimensionError, DomainError
 from stabwit.measurement import _even_parity, _setting_generators, _support_columns
 from stabwit.pauli import PauliString
-from stabwit.states import _apply_raw
+from stabwit.states import StateVector, _apply_raw
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
 
@@ -141,20 +147,6 @@ def loop_pass_fraction(table, gens) -> float:
         if all((bits & m).bit_count() & 1 == 0 for m in supports):
             passed += value
     return passed / table.shots
-
-
-def loop_correlation(table, sites) -> float:
-    """Empirical product correlation of the +-1 outcomes on the given sites."""
-    chosen = sorted(set(sites))
-    n = table.setting.n
-    mask = 0
-    for q in chosen:
-        mask |= 1 << (n - q)
-    total = 0
-    for key, value in table.counts.items():
-        parity = (int(key, 2) & mask).bit_count() & 1
-        total += -value if parity else value
-    return total / table.shots
 
 
 def per_term_split(terms, cut):
@@ -276,3 +268,36 @@ def loop_counts_check(setting, shots, counts) -> None:
         total += value
     if total != shots:
         raise ContractError(f"counts sum to {total}, expected {shots} shots")
+
+
+def apply_pauli(p: PauliString, s: StateVector) -> StateVector:
+    """Exact action of a Pauli string on a state; norm preserving."""
+    if p.n != s.n:
+        raise DimensionError(f"operator on {p.n} qubits, state on {s.n}")
+    return StateVector(s.n, _apply_raw(p, s.amplitudes))
+
+
+def schmidt_coefficients(s: StateVector, part_sites: Iterable[int]) -> np.ndarray:
+    """Singular values of the amplitude matrix across the given bipartition.
+
+    ``part_sites`` are 1-based; the complementary sites form the other side.
+    """
+    part = sorted(set(part_sites))
+    if not part or any(q < 1 or q > s.n for q in part) or len(part) >= s.n:
+        raise DomainError("part must be a nonempty proper subset of 1..n")
+    rest = [q for q in range(1, s.n + 1) if q not in part]
+    perm = [q - 1 for q in part] + [q - 1 for q in rest]
+    tensor = s.amplitudes.reshape([2] * s.n).transpose(perm)
+    matrix = tensor.reshape(1 << len(part), 1 << len(rest))
+    return np.linalg.svd(matrix, compute_uv=False)
+
+
+def product_state(cut: Bipartition, vec_a: np.ndarray, vec_b: np.ndarray) -> StateVector:
+    """Assemble |a> on part A and |b> on part B into a full-register state."""
+    na, nb = len(cut.part_a), len(cut.part_b)
+    if vec_a.shape != (1 << na,) or vec_b.shape != (1 << nb,):
+        raise DimensionError("part vectors do not match the cut dimensions")
+    tensor = np.multiply.outer(vec_a, vec_b).reshape([2] * cut.n)
+    combined = list(cut.part_a) + list(cut.part_b)
+    axes = [combined.index(site) for site in range(1, cut.n + 1)]
+    return StateVector(cut.n, tensor.transpose(axes).reshape(-1))

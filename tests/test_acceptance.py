@@ -20,15 +20,19 @@ from stabwit import (
     make_ghz,
     noise_threshold,
     sample_outcomes,
-    settings_count,
     settings_for,
     subgroup_product,
     target_state,
     white_noise_mix,
 )
-from stabwit.states import StateVector, apply_pauli
+from stabwit.states import StateVector
 
-from oracles import dense_operator_from_terms, random_state_vector
+from oracles import (
+    apply_pauli,
+    dense_operator_from_terms,
+    random_state_vector,
+    setting_measures,
+)
 
 GHZ_ROW = [0.50, 0.40, 0.36, 0.35, 0.34, 0.34, 0.34, 0.33, 0.33]
 CLUSTER_ROW = [0.50, 0.40, 0.33, 0.31, 0.29, 0.28, 0.27, 0.26, 0.26]
@@ -166,10 +170,14 @@ def test_criterion_8_biseparability_certificate():
 
 
 def test_criterion_9_settings_count():
-    witness = settings_count("witness", 10)
-    bell = settings_count("bell_ghz", 10)
-    ok = (witness == 2 and bell == 1024 and bell // witness == 512
-          and all(settings_count("witness", n) == 2 for n in range(2, 21))
-          and all(settings_count("bell_ghz", n) == 2 ** n for n in range(2, 21)))
-    report(9, ok, f"witness needs {witness} settings vs {bell} for the Bell "
-                  f"test at n=10; ratio {bell // witness} = 2^9")
+    families = ("ghz", "cluster")
+    distinct = all(len(set(settings_for(family, n))) == 2
+                   for family in families for n in range(2, 21))
+    measured = all(any(setting_measures(s, term) for s in settings_for(family, n))
+                   for family in families for n in range(2, 11)
+                   for term in build_witness(family, n).terms)
+    witness, bell = len(settings_for("ghz", 10)), 2 ** 10
+    ok = distinct and measured
+    report(9, ok, f"two distinct settings for n = 2..20 that measure every witness "
+                  f"term for n <= 10; the witness needs {witness} settings vs {bell} "
+                  f"for the GHZ Bell test at n=10; ratio {bell // witness} = 2^9")

@@ -17,7 +17,6 @@ from stabwit import (
     enumerate_bipartitions,
     expectation,
     min_over_cut,
-    product_state,
 )
 from stabwit.bisep import (
     _contract,
@@ -33,6 +32,7 @@ from oracles import (
     keyed_minimal_eigvec,
     per_term_contract,
     per_term_split,
+    product_state,
     random_state_vector,
 )
 

@@ -239,6 +239,28 @@ class TestSimulate:
         assert run(["simulate", "--family", "ghz", "--n", "3",
                     "--shots", "0"], capsys)[0] == 2
 
+    @pytest.mark.parametrize("args,env_seed", [
+        (["--shots", str(2 ** 63)], None),
+        (["--seed", str(2 ** 128 - 1)], None),
+        ([], str(2 ** 200)),
+    ], ids=["shots-2^63", "seed-2^128-1", "env-seed-2^200"])
+    def test_too_large_shots_or_seed_is_a_usage_error(self, args, env_seed,
+                                                       capsys, monkeypatch):
+        """Setting B draws with seed + 1, and a Philox key has 128 bits."""
+        if env_seed is not None:
+            monkeypatch.setenv("STABWIT_SEED", env_seed)
+        code, out, err = run(["simulate", "--family", "ghz", "--n", "3", *args], capsys)
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert out == ""
+
+    def test_largest_seed_runs(self, capsys):
+        code, out, _ = run(["simulate", "--family", "ghz", "--n", "3", "--shots", "100",
+                            "--seed", str(2 ** 128 - 2)], capsys)
+        assert code == 0
+        assert "estimate" in out
+
 
 class TestCertify:
     def test_pass_and_record(self, tmp_path, capsys):

@@ -36,7 +36,7 @@ def test_family_names_appear_only_in_the_registry():
     assert offenders == []
 
 
-@pytest.mark.parametrize("schema", ["bisep_report", "threshold_report", "witness"])
+@pytest.mark.parametrize("schema", ["bisep_report", "threshold_report"])
 def test_schemas_list_exactly_the_registered_families(schema):
     doc = json.loads(resources.files("stabwit")
                      .joinpath(f"schemas/{schema}.schema.json").read_text())

@@ -10,9 +10,7 @@ from stabwit import (
     MeasurementSetting,
     PauliString,
     StateVector,
-    correlation_from_counts,
     draw_counts,
-    estimate_from_distributions,
     estimate_witness,
     expectation,
     make_cluster,
@@ -20,6 +18,7 @@ from stabwit import (
     noisy_target_expectation,
     outcome_distribution,
     sample_outcomes,
+    setting_distributions,
     settings_for,
     target_state,
     white_noise_mix,
@@ -32,7 +31,6 @@ from oracles import (
     copying_outcome_distribution,
     dense_pauli,
     formatted_counts,
-    loop_correlation,
     loop_pass_fraction,
     random_state_vector,
     setting_measures,
@@ -194,6 +192,11 @@ class TestSampling:
             sample_outcomes(make_ghz(2), settings_for("ghz", 2)[0], 10, seed=-1)
         with pytest.raises(DimensionError):
             draw_counts(settings_for("ghz", 3)[0], np.full(4, 0.25), 10, seed=0)
+        uniform = np.full(8, 0.125)
+        with pytest.raises(DomainError):
+            draw_counts(settings_for("ghz", 3)[0], uniform, 2 ** 63, seed=0)
+        with pytest.raises(DomainError):
+            draw_counts(settings_for("ghz", 3)[0], uniform, 10, seed=2 ** 128)
 
     @pytest.mark.parametrize("family,n,shots", [("ghz", 2, 50), ("cluster", 5, 3000),
                                                 ("ghz", 12, 100000), ("cluster", 20, 100000)])
@@ -208,43 +211,6 @@ class TestSampling:
         assert list(got.items()) == list(want.items())
 
 
-def exact_table(counts: dict, axes: str) -> CountsTable:
-    """Counts table with exactly proportional entries (dyadic distributions)."""
-    return CountsTable(MeasurementSetting(len(axes), axes),
-                       sum(counts.values()), counts)
-
-
-class TestCorrelations:
-    def test_full_site_x_correlation_of_ghz3(self):
-        # the exact all-x distribution of GHZ_3: 1/4 on even-parity outcomes
-        table = exact_table({"000": 1, "011": 1, "101": 1, "110": 1}, "xxx")
-        assert correlation_from_counts(table, (1, 2, 3)) == pytest.approx(1.0)
-
-    def test_adjacent_z_correlation_of_ghz3(self):
-        table = exact_table({"000": 1, "111": 1}, "zzz")
-        assert correlation_from_counts(table, (1, 2)) == pytest.approx(1.0)
-
-    def test_uniform_distribution_has_no_correlation(self):
-        counts = {format(i, "03b"): 1 for i in range(8)}
-        table = exact_table(counts, "zzz")
-        assert correlation_from_counts(table, (1, 2)) == pytest.approx(0.0)
-
-    def test_lies_in_unit_interval(self, rng):
-        state = StateVector(4, random_state_vector(rng, 4))
-        table = sample_outcomes(state, MeasurementSetting(4, "xzzx"), 2000, seed=3)
-        for sites in [(1,), (2, 4), (1, 2, 3, 4)]:
-            assert -1.0 <= correlation_from_counts(table, sites) <= 1.0
-
-    def test_domain_errors(self):
-        table = exact_table({"00": 1, "11": 1}, "zz")
-        with pytest.raises(DomainError):
-            correlation_from_counts(table, ())
-        with pytest.raises(DomainError):
-            correlation_from_counts(table, (0, 1))
-        with pytest.raises(DomainError):
-            correlation_from_counts(table, (3,))
-
-
 class TestParityRoutine:
     """The vectorised parity count against the per-key loops it replaced.
     Both sum the same integers, so the results are equal, not close."""
@@ -257,10 +223,6 @@ class TestParityRoutine:
         assert est.pass_freq_a == loop_pass_fraction(table_a, gens_a)
         assert est.pass_freq_b == loop_pass_fraction(table_b, gens_b)
         assert est.estimate == 3.0 - 2.0 * (est.pass_freq_a + est.pass_freq_b)
-        for table, gens in ((table_a, gens_a), (table_b, gens_b)):
-            for sites in [[q for q in range(1, n + 1) if g.letter_at(q) != "I"]
-                          for g in gens[:3]] + [[1], [n], list(range(1, n + 1))]:
-                assert correlation_from_counts(table, sites) == loop_correlation(table, sites)
 
     @pytest.mark.parametrize("family", ["ghz", "cluster"])
     @pytest.mark.parametrize("n", range(2, 21))
@@ -294,27 +256,13 @@ class TestEstimatorExactLimits:
         states = [target_state(family, n), StateVector(n, random_state_vector(rng, n))]
         for state in states:
             for p in (0.0, 0.2, 1.0):
-                noisy = white_noise_mix(p, state)
-                dists = [outcome_distribution(noisy, s) for s in settings_for(family, n)]
-                assert (estimate_from_distributions(*dists, family, n)
-                        == oracles.estimate_from_distributions(*dists, family, n))
-
-    def test_rejects_distributions_of_the_wrong_length(self):
-        dists = [outcome_distribution(make_ghz(4), s) for s in settings_for("ghz", 4)]
-        for bad in (dists[0][:8], np.concatenate((dists[0], dists[0]))):
-            with pytest.raises(DimensionError):
-                estimate_from_distributions(bad, dists[1], "ghz", 4)
-            with pytest.raises(DimensionError):
-                estimate_from_distributions(dists[0], bad, "ghz", 4)
+                _, dists, value = setting_distributions(white_noise_mix(p, state), family)
+                assert value == oracles.estimate_from_distributions(*dists, family, n)
 
     @pytest.mark.parametrize("family", ["ghz", "cluster"])
     @pytest.mark.parametrize("n", range(2, 9))
     def test_exact_distributions_give_minus_one(self, family, n):
-        state = target_state(family, n)
-        sa, sb = settings_for(family, n)
-        value = estimate_from_distributions(outcome_distribution(state, sa),
-                                            outcome_distribution(state, sb),
-                                            family, n)
+        value = setting_distributions(target_state(family, n), family)[2]
         assert value == pytest.approx(-1.0, abs=1e-12)
 
     @pytest.mark.parametrize("family", ["ghz", "cluster"])
@@ -324,10 +272,7 @@ class TestEstimatorExactLimits:
 
         p_star = noise_threshold(family, n).p_threshold
         state = white_noise_mix(p_star, target_state(family, n))
-        sa, sb = settings_for(family, n)
-        value = estimate_from_distributions(outcome_distribution(state, sa),
-                                            outcome_distribution(state, sb),
-                                            family, n)
+        value = setting_distributions(state, family)[2]
         assert value == pytest.approx(0.0, abs=1e-9)
 
     @pytest.mark.parametrize("family", ["ghz", "cluster"])
@@ -339,10 +284,7 @@ class TestEstimatorExactLimits:
 
         state = StateVector(n, random_state_vector(rng, n))
         noisy = white_noise_mix(float(rng.uniform(0, 1)), state)
-        sa, sb = settings_for(family, n)
-        value = estimate_from_distributions(outcome_distribution(noisy, sa),
-                                            outcome_distribution(noisy, sb),
-                                            family, n)
+        value = setting_distributions(noisy, family)[2]
         gens = generators_for(family, n).generators
         if family == "ghz":
             first, second = [gens[0]], list(gens[1:])

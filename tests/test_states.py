@@ -10,23 +10,23 @@ from stabwit import (
     NumericError,
     PauliString,
     StateVector,
-    apply_pauli,
     build_witness,
     cluster_generators,
     expectation,
     ghz_generators,
     make_cluster,
     make_ghz,
-    schmidt_coefficients,
     stabilizer_projector_expectation,
     white_noise_mix,
 )
 
 from oracles import (
+    apply_pauli,
     dense_pauli,
     density_matrix,
     dense_expectation,
     random_state_vector,
+    schmidt_coefficients,
 )
 
 SQRT1_2 = 1.0 / np.sqrt(2.0)

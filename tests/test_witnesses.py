@@ -18,7 +18,6 @@ from stabwit import (
     make_ghz,
     noise_threshold,
     noisy_target_expectation,
-    settings_count,
     settings_for,
     stabilizer_projector_expectation,
     target_state,
@@ -77,7 +76,7 @@ class TestConstruction:
         w = build_witness("cluster", 4)
         identities = [t for t in w.terms if t.x_bits == 0 and t.z_bits == 0]
         assert len(identities) == 1
-        assert w.identity_coefficient == pytest.approx(2.0)
+        assert w.terms[PauliString.identity(4)] == pytest.approx(2.0)
 
     @pytest.mark.parametrize("n", range(2, 9))
     @pytest.mark.parametrize("family", ["ghz", "cluster"])
@@ -90,9 +89,8 @@ class TestConstruction:
     def test_settings_metadata(self):
         """Settings follow from (family, n) alone, so no terms are needed."""
         for n in range(2, 21):
-            ghz, cluster = Witness(n, "ghz", {}), Witness(n, "cluster", {})
-            assert [s.axes for s in ghz.settings] == ["x" * n, "z" * n]
-            assert [s.axes for s in cluster.settings] == \
+            assert [s.axes for s in settings_for("ghz", n)] == ["x" * n, "z" * n]
+            assert [s.axes for s in settings_for("cluster", n)] == \
                 [("xz" * n)[:n], ("zx" * n)[:n]]
 
     def test_domain_errors(self):
@@ -169,7 +167,7 @@ class TestProjectorTraces:
         w = build_witness(family, n)
         report = noise_threshold(family, n)
         want = 3.0 - 2.0 * (report.trace_p1 + report.trace_p2) / 2 ** n
-        assert w.identity_coefficient == pytest.approx(want, abs=1e-14)
+        assert w.terms[PauliString.identity(n)] == pytest.approx(want, abs=1e-14)
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_traces_against_dense_projectors(self, n):
@@ -276,47 +274,7 @@ class TestNoisyTargetExpectation:
             noisy_target_expectation("ghz", 4, 1.5)
 
 
-class TestSettingsCount:
-    def test_witness_is_always_two(self):
-        assert all(settings_count("witness", n) == 2 for n in range(2, 21))
-
-    def test_bell_ghz_is_exponential(self):
-        assert settings_count("bell_ghz", 10) == 1024
-
-    def test_ratio_at_ten_qubits(self):
-        ratio = settings_count("bell_ghz", 10) // settings_count("witness", 10)
-        assert ratio == 512 == 2 ** 9
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            settings_count("witness", 1)
-        with pytest.raises(DomainError):
-            settings_count("tomography", 4)
-
-
 class TestSerialization:
-    @pytest.mark.parametrize("family", ["ghz", "cluster"])
-    def test_json_round_trip(self, family):
-        w = build_witness(family, 4)
-        again = Witness.from_json(w.to_json())
-        assert again.n == w.n and again.family == w.family
-        assert again.terms == dict(w.terms)
-        assert again.settings == w.settings
-
-    def test_from_dict_rejects_contradicting_settings(self):
-        d = build_witness("ghz", 3).to_dict()
-        d["settings"] = ["zzz", "xxx"]
-        with pytest.raises(DomainError):
-            Witness.from_dict(d)
-
-    def test_json_schema_valid(self):
-        import jsonschema
-        from importlib import resources
-
-        schema = json.loads(resources.files("stabwit")
-                            .joinpath("schemas/witness.schema.json").read_text())
-        jsonschema.validate(json.loads(build_witness("ghz", 3).to_json()), schema)
-
     def test_threshold_report_schema_valid(self):
         import jsonschema
         from importlib import resources
