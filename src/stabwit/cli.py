@@ -35,10 +35,11 @@ from .measurement import (
     CountsTable,
     draw_counts,
     estimate_witness,
+    mix_white_noise,
     setting_distributions,
 )
-from .states import MAX_QUBITS, white_noise_mix
-from .witnesses import build_witness, noise_threshold, noisy_target_expectation, target_state
+from .states import MAX_QUBITS
+from .witnesses import build_witness, noise_threshold, target_state, witness_line
 
 SEED_ENV_VAR = "STABWIT_SEED"
 # expectations this close to zero cannot certify detection
@@ -46,6 +47,7 @@ DETECTION_ATOL = 1e-12
 
 TABLE_N_RANGE = (2, 16)
 CERTIFY_MAX_QUBITS = 12
+SIMULATE_SHOTS = 100000
 
 
 class UsageError(Exception):
@@ -177,8 +179,8 @@ def _claim(n: int) -> str:
 
 
 def cmd_eval(config: RunConfig) -> int:
-    value = noisy_target_expectation(config.family, config.n, config.p_noise)
     report = noise_threshold(config.family, config.n)
+    value = report.line.at(config.p_noise)
     detected = value < -DETECTION_ATOL
     verdict = "detected" if detected else "not detected"
     print(f"family {config.family}, n={config.n}, p_noise={config.p_noise}")
@@ -202,9 +204,13 @@ def cmd_eval(config: RunConfig) -> int:
 # --- simulate ----------------------------------------------------------------
 
 def _simulate_counts(config: RunConfig) -> tuple[CountsTable, CountsTable, float | None]:
-    state = white_noise_mix(config.p_noise, target_state(config.family, config.n))
-    settings, dists, exact = setting_distributions(state, config.family)
-    counts_a, counts_b = (draw_counts(setting, dist, config.shots, seed=config.seed + k)
+    """Counts drawn from the pure target's distributions mixed with the
+    noise, and the exact value on the witness line through the pure one."""
+    settings, dists, pure = setting_distributions(target_state(config.family, config.n),
+                                                  config.family)
+    exact = witness_line(config.family, config.n, pure).at(config.p_noise)
+    counts_a, counts_b = (draw_counts(setting, mix_white_noise(dist, config.p_noise),
+                                      config.shots, seed=config.seed + k)
                           for k, (setting, dist) in enumerate(zip(settings, dists)))
     return counts_a, counts_b, exact
 
@@ -303,8 +309,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="sample the two settings and estimate")
     sim.add_argument("--family", choices=list(FAMILIES), required=True)
     sim.add_argument("--n", type=int)
-    sim.add_argument("--p-noise", type=float, default=0.0)
-    sim.add_argument("--shots", type=int, default=100000)
+    sim.add_argument("--p-noise", type=float, help="noise fraction (default 0)")
+    sim.add_argument("--shots", type=int, help=f"shots per setting (default {SIMULATE_SHOTS})")
     sim.add_argument("--seed", type=int)
     sim.add_argument("--ingest", nargs=2, metavar=("COUNTS_A", "COUNTS_B"),
                      help="evaluate externally produced counts tables instead "
@@ -340,10 +346,17 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.command == "eval":
         return RunConfig(family=args.family, n=args.n, p_noise=args.p_noise, **common)
     if args.command == "simulate":
+        # ingested counts are read, not drawn, so nothing may configure a draw
+        drawn = {"--n": args.n, "--p-noise": args.p_noise, "--shots": args.shots,
+                 "--seed": args.seed}
+        given = [flag for flag, value in drawn.items() if value is not None]
+        if args.ingest and given:
+            raise UsageError(f"{', '.join(given)} cannot be combined with --ingest")
         ingest = tuple(args.ingest) if args.ingest else None
-        return RunConfig(family=args.family, n=args.n, p_noise=args.p_noise,
-                         shots=args.shots, seed=seed, ingest=ingest,
-                         counts_out=args.counts_out, **common)
+        return RunConfig(family=args.family, n=args.n,
+                         p_noise=0.0 if args.p_noise is None else args.p_noise,
+                         shots=SIMULATE_SHOTS if args.shots is None else args.shots,
+                         seed=seed, ingest=ingest, counts_out=args.counts_out, **common)
     if args.command == "certify":
         return RunConfig(family=args.family, n=args.n, restarts=args.restarts,
                          seed=seed, negate=args.negate, **common)

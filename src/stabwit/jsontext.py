@@ -33,7 +33,7 @@ def _counts_text(obj, newline: str) -> str | None:
         return None
     inner = newline + "  "
     if _is_counts(obj):
-        parts = [f'"{key}": {value}' for key, value in sorted(obj.items())]
+        parts = [f'"{key}": {obj[key]}' for key in sorted(obj)]
     else:
         texts = {key: _counts_text(value, inner)
                  for key, value in obj.items() if type(value) is dict}

@@ -7,10 +7,14 @@ stands for the +1 eigenvalue of the site observable, bit 1 for -1, with
 qubit 1 leftmost in the outcome string.
 
 A setting's exact outcome distribution is the statevector with a Hadamard
-butterfly applied in place at each x site, squared.  Both settings'
-distributions serve twice: ``setting_distributions`` returns them with the
-exact witness value they fix, and ``draw_counts`` samples from them, so a
-simulation builds one target and one distribution per setting.
+butterfly applied in place at each x site, squared.  White noise at
+fraction p mixes it with the uniform distribution, in place
+(``mix_white_noise``).  Both settings' distributions on the pure target
+serve twice: ``setting_distributions`` returns them with the exact witness
+value they fix, which white noise moves along a line
+(``witnesses.WitnessLine``), and they are mixed only where counts are drawn
+from them (``draw_counts``), so a simulation builds one target and one
+distribution per setting.
 
 Sampling uses the counter-based Philox4x64-10 generator keyed directly by
 the caller's seed, so counts tables reproduce bit-exactly across platforms.
@@ -139,7 +143,8 @@ class CountsTable:
         """The counts in key order, built once per table and shared by every
         ``to_dict``, so a table written to a file and into a record is
         sorted once."""
-        return {k: int(v) for k, v in sorted(self.counts.items())}
+        counts = self.counts
+        return {k: int(counts[k]) for k in sorted(counts)}
 
     def to_dict(self) -> dict:
         return {
@@ -178,7 +183,9 @@ class CountsTable:
     def load(cls, path: str | Path) -> "CountsTable":
         try:
             d = json.loads(Path(path).read_text())
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # ValueError covers bad JSON, bad UTF-8 and integers past Python's
+        # digit limit; RecursionError, nesting deeper than the parser allows
+        except (ValueError, RecursionError) as exc:
             raise ContractError(f"{path} is not a JSON counts table: {exc}") from None
         return cls.from_dict(d)
 
@@ -210,10 +217,17 @@ def outcome_distribution(state: State, setting: MeasurementSetting) -> np.ndarra
     probs = np.abs(_rotate_to_measurement_basis(pure.amplitudes, n, setting.axes))
     np.square(probs, out=probs)
     if isinstance(state, NoisyState):
-        probs *= 1.0 - state.p_noise
-        probs += state.p_noise / probs.size
+        mix_white_noise(probs, state.p_noise)
     if abs(probs.sum() - 1.0) > PROB_ATOL:
         raise NumericError(f"probabilities sum to {probs.sum()!r}")
+    return probs
+
+
+def mix_white_noise(probs: np.ndarray, p_noise: float) -> np.ndarray:
+    """Mix a distribution over the 2^n outcomes in place with the uniform
+    one, as white noise at fraction p mixes the state; returns ``probs``."""
+    probs *= 1.0 - p_noise
+    probs += p_noise / probs.size
     return probs
 
 

@@ -13,24 +13,30 @@ decomposition whose every term is measurable within one of two local
 settings.  A negative expectation value certifies entanglement; the value
 on the target state itself is -1.
 
-Exact values on the noisy target never expand W.  Each projector's
-generators are measured by one local setting, so its expectation is the
-probability mass of that setting's exact outcome distribution on the
-outcomes with even parity on every generator's support: the two Born
-distributions that ``simulate`` samples from also fix <W>.  A projector onto
-the joint +1 eigenspace of m independent generators has trace 2^(n-m),
-which gives the identity coefficient of W.
+Exact values never expand W.  Each projector's generators are measured by
+one local setting, so its expectation is the probability mass of that
+setting's exact outcome distribution on the outcomes with even parity on
+every generator's support.  W's expectation is linear in the state, so on
+the target mixed with white noise at fraction p it is the line
+
+    <W>(p) = p * tr(W)/2^n + (1 - p) * <W>_0,
+
+where <W>_0 is the value on the pure target, read off the two settings'
+Born distributions on the pure target, the ones ``simulate`` mixes and
+samples from.  A projector onto the joint +1 eigenspace of m independent
+generators has trace 2^(n-m), which gives tr(W)/2^n.  ``noise_threshold``
+builds the line once and its report carries it, so a command that needs
+both a noisy value and the threshold builds one target and one pair of
+distributions.
 
 The noise tolerance is the largest white-noise fraction at which the
-expectation on the noisy target is still negative.  Because the noisy
-expectation is affine in the noise fraction, the threshold has the closed
-forms (stored in the family records)
+expectation on the noisy target is still negative: the root of that line.
+It has the closed forms (stored in the family records)
 
     ghz:      1 / (3 - 4/2^n)
     cluster:  1 / (4 - 2*(2^-floor(n/2) + 2^-ceil(n/2)))
 
-which are cross-checked here against a numerical root find on the affine
-expectation itself.
+which are cross-checked here against a numerical root find on the line.
 """
 from __future__ import annotations
 
@@ -43,7 +49,7 @@ from .errors import DomainError, NumericError
 from .families import FAMILIES, get_family
 from .measurement import setting_distributions
 from .pauli import GeneratorSet, PauliString, generators_for, subgroup_product
-from .states import StateVector, white_noise_mix
+from .states import StateVector
 
 THRESHOLD_AGREEMENT_ATOL = 1e-9
 
@@ -109,40 +115,74 @@ def target_state(family: str, n: int) -> StateVector:
     return get_family(family).target(n)
 
 
-def _projector_traces(family: str, n: int) -> tuple[float, float]:
+@dataclass(frozen=True)
+class WitnessLine:
+    """<W> on the family target mixed with white noise at fraction p,
+    which is affine in p: p * identity + (1 - p) * pure."""
+
+    n: int
+    trace_p1: float
+    trace_p2: float
+    pure: float
+
+    @property
+    def identity(self) -> float:
+        """<W> on the maximally mixed state, 3 - 2(tr P_1 + tr P_2)/2^n."""
+        return 3.0 - 2.0 * (self.trace_p1 + self.trace_p2) / float(1 << self.n)
+
+    def at(self, p_noise: float) -> float:
+        """<W> at noise fraction p."""
+        return p_noise * self.identity + (1.0 - p_noise) * self.pure
+
+
+def witness_line(family: str, n: int, pure: float) -> WitnessLine:
+    """The family's line through ``pure``, the value on the pure target."""
     first, second = get_family(family).projector_sets(n)
-    return float(2 ** (n - len(first))), float(2 ** (n - len(second)))
+    return WitnessLine(n, float(2 ** (n - len(first))), float(2 ** (n - len(second))), pure)
+
+
+def _target_line(family: str, n: int) -> WitnessLine:
+    """The line through the value read off the settings' Born distributions
+    on the pure target."""
+    return witness_line(family, n, setting_distributions(target_state(family, n), family)[2])
 
 
 def noisy_target_expectation(family: str, n: int, p_noise: float) -> float:
     """Exact <W> on the family target mixed with white noise at fraction p.
 
-    W = 3 - 2(P_1 + P_2) and each projector is measured by one setting, so
-    the value is fixed by the even-parity mass of the two settings' exact
-    outcome distributions; the test suite pins it against the projector
+    The value on the pure target is fixed by the even-parity mass of the two
+    settings' exact outcome distributions, and white noise moves it along
+    the witness line; the test suite pins it against the projector
     expectation on the statevector and the full Pauli decomposition.
     """
     if not 0.0 <= p_noise <= 1.0:
         raise DomainError(f"noise fraction must lie in [0, 1], got {p_noise}")
-    state = white_noise_mix(p_noise, target_state(family, n))
-    return setting_distributions(state, family)[2]
+    return _target_line(family, n).at(p_noise)
 
 
 @dataclass(frozen=True)
 class ThresholdReport:
     """Noise tolerance of one witness, from both computation routes; the
-    reported threshold is the closed form."""
+    reported threshold is the closed form.  ``line`` is the witness line
+    both routes rest on, so the report also gives <W> at any noise."""
 
     family: str
     n: int
-    trace_p1: float
-    trace_p2: float
+    line: WitnessLine
     p_closed_form: float
     p_root_find: float
 
     @property
     def p_threshold(self) -> float:
         return self.p_closed_form
+
+    @property
+    def trace_p1(self) -> float:
+        return self.line.trace_p1
+
+    @property
+    def trace_p2(self) -> float:
+        return self.line.trace_p2
 
     def to_dict(self) -> dict:
         return {
@@ -168,18 +208,14 @@ def noise_threshold(family: str, n: int) -> ThresholdReport:
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
     closed = get_family(family).closed_form_threshold(n)
-    tr1, tr2 = _projector_traces(family, n)
-    identity_coeff = 3.0 - 2.0 * (tr1 + tr2) / float(1 << n)
-    # the value at p = 0, where the mix would leave the distributions as they are
-    pure = setting_distributions(target_state(family, n), family)[2]
-    if pure >= 0.0:
-        raise NumericError(f"target expectation {pure} is not negative; no threshold")
-    root = float(brentq(lambda p: p * identity_coeff + (1.0 - p) * pure,
-                        0.0, 1.0, xtol=1e-14))
+    line = _target_line(family, n)
+    if line.pure >= 0.0:
+        raise NumericError(f"target expectation {line.pure} is not negative; no threshold")
+    root = float(brentq(line.at, 0.0, 1.0, xtol=1e-14))
 
     if abs(closed - root) > THRESHOLD_AGREEMENT_ATOL:
         raise NumericError(
             f"threshold routes disagree for {family} n={n}: "
             f"closed {closed!r} vs root {root!r}")
-    return ThresholdReport(family=family, n=n, trace_p1=tr1, trace_p2=tr2,
+    return ThresholdReport(family=family, n=n, line=line,
                            p_closed_form=closed, p_root_find=root)

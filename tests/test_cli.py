@@ -189,7 +189,9 @@ class TestSimulate:
         '{"setting": "zzz", "shots": 100, "counts": {"000": 99, "111": true}}',
         '{"setting": "zzz", "shots": 100, "counts": {"000": "100"}}',
         '{"setting": "zzz", "shots": "100", "counts": {"000": 100}}',
-    ])
+        "[" * 100000,
+        '{"setting": "zzz", "shots": 1' + "0" * 5000 + ', "counts": {}}',
+    ], ids=lambda text: text if len(text) < 80 else text[:40] + "...")
     def test_malformed_ingest_is_a_clean_error(self, tmp_path, capsys, text):
         prefix = str(tmp_path / "c")
         run(["simulate", "--family", "ghz", "--n", "3", "--shots", "100",
@@ -202,6 +204,38 @@ class TestSimulate:
         assert err.startswith("error:")
         assert "Traceback" not in err
         assert out == ""
+
+    @pytest.mark.parametrize("extra", [["--n", "9"], ["--p-noise", "0.5"],
+                                       ["--shots", "100"], ["--seed", "0"],
+                                       ["--n", "9", "--p-noise", "5"]],
+                             ids=["n", "p-noise", "shots", "seed", "n+p-noise"])
+    def test_ingest_with_a_draw_option_is_a_usage_error(self, extra, tmp_path, capsys):
+        """The ingested tables fix n, noise and shots; a record claiming
+        other values would contradict its own data."""
+        prefix = str(tmp_path / "c")
+        run(["simulate", "--family", "ghz", "--n", "3", "--shots", "100",
+             "--seed", "0", "--counts-out", prefix], capsys)
+        out_path = tmp_path / "r.json"
+        code, out, err = run(["simulate", "--family", "ghz",
+                              "--ingest", prefix + "_a.json", prefix + "_b.json",
+                              *extra, "--out", str(out_path)], capsys)
+        assert code == 2
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert out == ""
+        assert not out_path.exists()
+
+    def test_ingest_record_keeps_the_default_config(self, tmp_path, capsys):
+        prefix = str(tmp_path / "c")
+        run(["simulate", "--family", "ghz", "--n", "3", "--shots", "100",
+             "--seed", "0", "--counts-out", prefix], capsys)
+        out_path = tmp_path / "r.json"
+        assert run(["simulate", "--family", "ghz",
+                    "--ingest", prefix + "_a.json", prefix + "_b.json",
+                    "--out", str(out_path)], capsys)[0] == 0
+        config = json.loads(out_path.read_text())["config"]
+        assert (config["n"], config["p_noise"], config["shots"], config["seed"]) == \
+            (None, 0.0, 100000, 0)
 
     def test_truncated_ingest_in_a_fresh_process(self, tmp_path):
         bad = tmp_path / "bad.json"

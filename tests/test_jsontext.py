@@ -4,6 +4,7 @@ import json
 from hypothesis import given
 from hypothesis import strategies as st
 
+from stabwit import CountsTable, MeasurementSetting
 from stabwit.jsontext import dumps
 
 OUTCOME_KEYS = st.text(alphabet="01", min_size=1, max_size=12)
@@ -38,3 +39,27 @@ def test_escaped_and_non_ascii_keys_fall_back():
                   {"01": 1, "10": True}):
         record = {"outer": {"counts": table}}
         assert dumps(record) == json.dumps(record, sort_keys=True, indent=2)
+
+
+@given(COUNTS, st.randoms(use_true_random=False))
+def test_counts_in_any_insertion_order(counts, random):
+    """Counts are sorted by key; the keys are unique, so no value is ever
+    compared and the order they were inserted in does not show."""
+    items = list(counts.items())
+    random.shuffle(items)
+    shuffled = dict(items)
+    record = {"counts": shuffled}
+    assert dumps(shuffled) == dumps(counts) == json.dumps(counts, sort_keys=True, indent=2)
+    assert dumps(record) == json.dumps(record, sort_keys=True, indent=2)
+
+
+@given(st.dictionaries(st.text(alphabet="01", min_size=6, max_size=6),
+                       st.integers(min_value=1, max_value=10**6), min_size=1, max_size=64),
+       st.randoms(use_true_random=False))
+def test_counts_table_written_in_key_order(counts, random):
+    items = list(counts.items())
+    random.shuffle(items)
+    table = CountsTable(MeasurementSetting(6, "xzxzxz"), sum(counts.values()), dict(items))
+    d = table.to_dict()
+    assert list(d["counts"]) == sorted(counts)
+    assert dumps(d) == json.dumps(d, sort_keys=True, indent=2)

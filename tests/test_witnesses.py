@@ -18,6 +18,7 @@ from stabwit import (
     make_ghz,
     noise_threshold,
     noisy_target_expectation,
+    setting_distributions,
     settings_for,
     stabilizer_projector_expectation,
     target_state,
@@ -268,6 +269,20 @@ class TestNoisyTargetExpectation:
         for p in (0.0, 0.2, 0.5, 1.0):
             want = p * identity + (1.0 - p) * pure
             assert abs(noisy_target_expectation(family, n, p) - want) <= 1e-12
+
+    @pytest.mark.parametrize("family", ["ghz", "cluster"])
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_line_matches_the_mixed_distributions(self, family, n):
+        """The witness line against the even-parity mass of the noisy
+        target's own Born distributions, at the threshold and on a grid;
+        at p = 0 both read the same distributions."""
+        line = noise_threshold(family, n).line
+        target = target_state(family, n)
+        for p in [k / 20 for k in range(21)] + [get_family(family).closed_form_threshold(n)]:
+            mixed = setting_distributions(white_noise_mix(p, target), family)[2]
+            assert abs(line.at(p) - mixed) <= 1e-14
+            assert noisy_target_expectation(family, n, p) == line.at(p)
+        assert line.at(0.0) == setting_distributions(white_noise_mix(0.0, target), family)[2]
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
