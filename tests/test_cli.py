@@ -189,9 +189,10 @@ class TestSimulate:
         '{"setting": "zzz", "shots": 100, "counts": {"000": 99, "111": true}}',
         '{"setting": "zzz", "shots": 100, "counts": {"000": "100"}}',
         '{"setting": "zzz", "shots": "100", "counts": {"000": 100}}',
-        "[" * 100000,
-        '{"setting": "zzz", "shots": 1' + "0" * 5000 + ', "counts": {}}',
-    ], ids=lambda text: text if len(text) < 80 else text[:40] + "...")
+        pytest.param("[" * 100000, id="nested-100000-deep"),
+        pytest.param('{"setting": "zzz", "shots": 1' + "0" * 5000 + ', "counts": {}}',
+                     id="shots-with-5001-digits"),
+    ])
     def test_malformed_ingest_is_a_clean_error(self, tmp_path, capsys, text):
         prefix = str(tmp_path / "c")
         run(["simulate", "--family", "ghz", "--n", "3", "--shots", "100",
