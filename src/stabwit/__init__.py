@@ -39,8 +39,8 @@ from .measurement import (
     estimate_witness,
     outcome_distribution,
     sample_outcomes,
-    setting_distributions,
     settings_for,
+    stabilizer_distributions,
 )
 from .witnesses import (
     ThresholdReport,

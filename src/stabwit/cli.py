@@ -30,16 +30,18 @@ from .errors import StabwitError
 from .families import FAMILIES
 from .jsontext import dumps
 from .measurement import (
+    DETECTION_DELTA,
     MAX_SEED,
     MAX_SHOTS,
     CountsTable,
     draw_counts,
     estimate_witness,
     mix_white_noise,
-    setting_distributions,
+    stabilizer_distributions,
 )
+from .pauli import generators_for
 from .states import MAX_QUBITS
-from .witnesses import build_witness, noise_threshold, target_state, witness_line
+from .witnesses import build_witness, noise_threshold, witness_line
 
 SEED_ENV_VAR = "STABWIT_SEED"
 # expectations this close to zero cannot certify detection
@@ -204,10 +206,11 @@ def cmd_eval(config: RunConfig) -> int:
 # --- simulate ----------------------------------------------------------------
 
 def _simulate_counts(config: RunConfig) -> tuple[CountsTable, CountsTable, float | None]:
-    """Counts drawn from the pure target's distributions mixed with the
-    noise, and the exact value on the witness line through the pure one."""
-    settings, dists, pure = setting_distributions(target_state(config.family, config.n),
-                                                  config.family)
+    """Counts drawn from the pure target's distributions, built from its
+    generators and mixed with the noise, and the exact value on the
+    witness line through the pure one."""
+    settings, dists, pure = stabilizer_distributions(generators_for(config.family, config.n),
+                                                     config.family)
     exact = witness_line(config.family, config.n, pure).at(config.p_noise)
     counts_a, counts_b = (draw_counts(setting, mix_white_noise(dist, config.p_noise),
                                       config.shots, seed=config.seed + k)
@@ -224,13 +227,21 @@ def cmd_simulate(config: RunConfig) -> int:
         counts_a, counts_b, exact = _simulate_counts(config)
 
     estimate = estimate_witness(counts_a, counts_b, config.family)
-    detected = estimate.estimate < -DETECTION_ATOL
-    verdict = "detected" if detected else "not detected"
+    # a negative estimate is a detection only if the bound supports it
+    detected = estimate.upper_bound < 0.0
+    if detected:
+        verdict = "detected"
+    elif estimate.estimate < -DETECTION_ATOL:
+        verdict = "not detected (insufficient statistics)"
+    else:
+        verdict = "not detected"
     n = counts_a.setting.n
     print(f"family {config.family}, n={n}, settings "
           f"{counts_a.setting.axes}/{counts_b.setting.axes}, "
           f"shots {counts_a.shots}+{counts_b.shots}")
     print(f"estimate  = {estimate.estimate:.6f} +- {estimate.std_error:.6f}")
+    print(f"bound     = {estimate.upper_bound:.6f} "
+          f"(one-sided, confidence {1.0 - DETECTION_DELTA:g})")
     if exact is not None:
         print(f"exact     = {exact:.12g}")
     print(f"{_claim(n)}: {verdict}")
@@ -245,6 +256,7 @@ def cmd_simulate(config: RunConfig) -> int:
             "config": config.to_dict(),
             "estimate": estimate.estimate,
             "std_error": estimate.std_error,
+            "upper_bound": estimate.upper_bound,
             "pass_freq_a": estimate.pass_freq_a,
             "pass_freq_b": estimate.pass_freq_b,
             "exact": exact,

@@ -5,9 +5,11 @@ two commuting sets: W = 3*1 - 2*(P_1 + P_2), where P_i projects onto the
 joint +1 eigenspace of set i.  A record holds only what differs between
 families: the generators, the two index sets in witness order, the target
 state and the paper's closed-form noise threshold.  The measurement
-settings, the estimator's parity checks, the projector traces and the
-command-line choices are derived from these records, so a new family is
-one more entry in ``FAMILIES``.
+settings, the estimator's parity checks, the projector traces, the exact
+outcome distributions and the command-line choices are derived from these
+records, so a new family is one more entry in ``FAMILIES``.  The exact
+values and the simulated counts come from the generators; the dense
+target state serves the general-state routes and the tests.
 """
 from __future__ import annotations
 

@@ -6,15 +6,20 @@ correlation among the chosen observables can be computed.  Outcome bit 0
 stands for the +1 eigenvalue of the site observable, bit 1 for -1, with
 qubit 1 leftmost in the outcome string.
 
-A setting's exact outcome distribution is the statevector with a Hadamard
-butterfly applied in place at each x site, squared.  White noise at
-fraction p mixes it with the uniform distribution, in place
-(``mix_white_noise``).  Both settings' distributions on the pure target
-serve twice: ``setting_distributions`` returns them with the exact witness
-value they fix, which white noise moves along a line
-(``witnesses.WitnessLine``), and they are mixed only where counts are drawn
-from them (``draw_counts``), so a simulation builds one target and one
-distribution per setting.
+A stabilizer state's outcome distribution in a setting follows from its
+generators alone: it is uniform on an affine GF(2) subspace of the
+outcomes, cut out by the parities its diagonal stabilizer elements fix.
+``stabilizer_distributions`` builds both settings' distributions that way,
+by bit arithmetic on the generators' masks, with no statevector and no
+basis rotation.  A general state's distribution (``outcome_distribution``)
+is its statevector with a Hadamard butterfly applied in place at each x
+site, squared.  White noise at fraction p mixes a distribution with the
+uniform one, in place (``mix_white_noise``).  The target's two
+distributions serve twice: ``stabilizer_distributions`` returns them with
+the exact witness value they fix, which white noise moves along a line
+(``witnesses.WitnessLine``), and they are mixed only where counts are
+drawn from them (``draw_counts``), so a simulation builds one distribution
+per setting.
 
 Sampling uses the counter-based Philox4x64-10 generator keyed directly by
 the caller's seed, so counts tables reproduce bit-exactly across platforms.
@@ -31,7 +36,9 @@ routine over a 0/1 outcome matrix with a column per qubit.  A counts
 table's keys become that matrix in one buffer read, so no outcome is
 packed into a fixed-width integer and tables of any width work; shot
 counts are summed as Python integers, so estimates are exact ratios of
-the counted shots.
+the counted shots.  An estimate carries a one-sided Hoeffding bound that
+the true value stays below except with probability ``DETECTION_DELTA``;
+only a bound below zero supports a detection.
 """
 from __future__ import annotations
 
@@ -47,7 +54,7 @@ import numpy as np
 from .errors import ContractError, DimensionError, DomainError, NumericError
 from .families import get_family
 from .jsontext import dumps
-from .pauli import PauliString, generators_for, gf2_reduce
+from .pauli import GeneratorSet, PauliString, generators_for, gf2_reduce
 from .states import NoisyState, State
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
@@ -55,10 +62,13 @@ _SQRT1_2 = 1.0 / np.sqrt(2.0)
 _BUTTERFLY_SIGNS = np.array([[1.0], [-1.0]])
 _BUTTERFLY_SCALES = np.array([[_SQRT1_2], [-_SQRT1_2]])
 PROB_ATOL = 1e-12
+# the chance that a witness estimate's upper bound lies below the true value
+DETECTION_DELTA = 1e-3
 # numpy's multinomial counts shots in a C long; Philox takes a 128-bit key
 MAX_SHOTS = (1 << 63) - 1
 MAX_SEED = (1 << 128) - 1
 _AXIS_OF_X_BIT = str.maketrans("10", "xz")
+_X_BIT_OF_AXIS = str.maketrans("xz", "10")
 
 
 @dataclass(frozen=True)
@@ -281,34 +291,38 @@ def _support_columns(gens: Sequence[PauliString]) -> list[list[int]]:
     return [[q - 1 for q in range(1, g.n + 1) if g.letter_at(q) != "I"] for g in gens]
 
 
+def _span(basis: Sequence[int], offset: int = 0) -> np.ndarray:
+    """``offset`` XOR every sum of the basis vectors, listed with the later
+    vectors as the more significant choices.  The lower and upper halves of
+    the basis are spanned in Python and combined by one outer XOR."""
+    low, high = [offset], [0]
+    for vector in basis[:len(basis) // 2]:
+        low += [x ^ vector for x in low]
+    for vector in basis[len(basis) // 2:]:
+        high += [x ^ vector for x in high]
+    return np.bitwise_xor.outer(high, low).ravel()
+
+
 def _even_outcomes(n: int, masks: Iterable[int]) -> np.ndarray:
     """The outcomes, ascending, with even parity on every bitmask (qubit 1 =
     most significant bit): the GF(2) null space of the masks.
 
     The masks are reduced so that each row's lowest set bit is its pivot
-    and appears in no other row (``gf2_reduce``).  The null-space vector of a free bit f is
-    f plus the pivots of the rows holding f, all below f, so the basis
-    vectors have distinct leading bits that no other one sets, and their
-    span, listed with the later vectors as the more significant choices,
-    is ascending.  The lower and upper halves of the basis are spanned in
-    Python and combined by one outer XOR.
+    and appears in no other row (``gf2_reduce``).  The null-space vector of
+    a free bit f is f plus the pivots of the rows holding f, all below f,
+    so the basis vectors have distinct leading bits that no other one sets,
+    and their span, listed with the later vectors as the more significant
+    choices, is ascending.
     """
     rows = gf2_reduce(masks)
-    basis = []
-    for f in range(n):
-        bit = 1 << f
-        if bit not in rows:
-            vector = bit
-            for pivot, row in rows.items():
-                if row & bit:
-                    vector |= pivot
-            basis.append(vector)
-    low, high = [0], [0]
-    for vector in basis[:len(basis) // 2]:
-        low += [x ^ vector for x in low]
-    for vector in basis[len(basis) // 2:]:
-        high += [x ^ vector for x in high]
-    return np.bitwise_xor.outer(np.array(high), np.array(low)).ravel()
+    free = ((1 << n) - 1) ^ sum(rows)
+    vectors = {1 << f: 1 << f for f in range(n) if free >> f & 1}
+    for pivot, row in rows.items():
+        held = row & free
+        while held:
+            vectors[held & -held] |= pivot
+            held &= held - 1
+    return _span(list(vectors.values()))
 
 
 def _witness_value(dist_a: np.ndarray, dist_b: np.ndarray, n: int,
@@ -322,24 +336,77 @@ def _witness_value(dist_a: np.ndarray, dist_b: np.ndarray, n: int,
     return 3.0 - 2.0 * (masses[0] + masses[1])
 
 
-def setting_distributions(state: State, family: str) -> tuple[
+def _stabilizer_distribution(gens: GeneratorSet, setting: MeasurementSetting) -> np.ndarray:
+    """Born distribution of the generators' joint +1 eigenstate in the
+    setting: uniform on an affine GF(2) subspace of the outcomes.
+
+    A product of generators is diagonal in the setting when its off-axis
+    bits (z bits on x sites, x bits on z sites) cancel; its support is
+    then the XOR of the generators' on-axis bits.  Each generator's row
+    holds its off-axis bits, its on-axis bits above them and its index bit
+    above both, so the reduced rows with no off-axis bit left select a
+    basis of the diagonal products, with their supports reduced.  A
+    diagonal product with sign -1 asks for odd parity on its support, +1
+    for even; setting the support pivots of the odd ones meets every
+    parity.  The other rows' off-axis bits span the outcomes' differences
+    (Dehaene & De Moor, PRA 68, 042318 (2003)), so r diagonal products
+    leave 2^(n-r) outcomes of probability 2^-(n-r) each, an exact dyadic.
+    """
+    n = gens.n
+    top = 1 << n
+    x_sites = int(setting.axes.translate(_X_BIT_OF_AXIS), 2)
+    z_sites = x_sites ^ (top - 1)
+    generators = gens.generators
+    rows = gf2_reduce([g.z_bits & x_sites | g.x_bits & z_sites
+                       | (g.x_bits & x_sites | g.z_bits & z_sites) << n
+                       | 1 << (2 * n + k) for k, g in enumerate(generators)])
+    differences, offset = [], 0
+    for pivot, row in rows.items():
+        if pivot < top:
+            differences.append(row & (top - 1))
+            continue
+        # the product's phase exponent as PauliString.__mul__ accumulates it
+        z = exp = 0
+        picks = row >> 2 * n
+        while picks:
+            g = generators[(picks & -picks).bit_length() - 1]
+            exp += g.phase_exp + 2 * (z & g.x_bits).bit_count()
+            z ^= g.z_bits
+            picks &= picks - 1
+        if exp & 1:
+            raise NumericError("a diagonal stabilizer element has an imaginary phase")
+        if exp & 2:
+            if pivot >> n >= top:
+                raise NumericError("the generators fix inconsistent outcome parities")
+            offset |= pivot >> n
+    outcomes = _span(differences, offset)
+    probs = np.zeros(top)
+    probs[outcomes] = 1.0 / outcomes.size
+    return probs
+
+
+def stabilizer_distributions(gens: GeneratorSet, family: str) -> tuple[
         tuple[MeasurementSetting, MeasurementSetting], tuple[np.ndarray, np.ndarray], float]:
-    """The family's two settings, their Born distributions on the state, and
-    the exact witness value those distributions fix, with the generators
-    derived once."""
-    n = state.n
-    gens = _setting_generators(family, n)
-    settings = _setting_of(n, gens[0]), _setting_of(n, gens[1])
-    dists = outcome_distribution(state, settings[0]), outcome_distribution(state, settings[1])
-    return settings, dists, _witness_value(*dists, n, gens)
+    """The family's two settings, the Born distributions of the generators'
+    joint +1 eigenstate in each, and the exact witness value those
+    distributions fix; no statevector is built.  The generators need not
+    be the family's: any stabilizer state can be measured in its settings."""
+    n = gens.n
+    setting_gens = _setting_generators(family, n)
+    settings = _setting_of(n, setting_gens[0]), _setting_of(n, setting_gens[1])
+    dists = (_stabilizer_distribution(gens, settings[0]),
+             _stabilizer_distribution(gens, settings[1]))
+    return settings, dists, _witness_value(*dists, n, setting_gens)
 
 
 @dataclass(frozen=True)
 class WitnessEstimate:
-    """Witness estimate with its plug-in standard error."""
+    """Witness estimate with its plug-in standard error and a one-sided
+    upper confidence bound on the true value."""
 
     estimate: float
     std_error: float
+    upper_bound: float
     pass_freq_a: float
     pass_freq_b: float
     shots_a: int
@@ -362,6 +429,16 @@ def estimate_witness(counts_a: CountsTable, counts_b: CountsTable,
     estimate is 3 - 2(P_1 + P_2).  The two settings are independent
     experiments, so the standard error is sqrt(4 var(P_1) + 4 var(P_2))
     with plug-in binomial variances.
+
+    The plug-in error is 0 whenever both frequencies are 0 or 1, so it
+    cannot support a verdict.  Each of the N_a + N_b independent shots
+    moves the estimate by at most 2/N of its setting, so by Hoeffding's
+    inequality the true value exceeds
+
+        estimate + 2 sqrt(ln(1/delta) (1/N_a + 1/N_b) / 2)
+
+    with probability at most delta = ``DETECTION_DELTA``; that is the
+    estimate's ``upper_bound``.
     """
     n = counts_a.setting.n
     if counts_b.setting.n != n:
@@ -376,5 +453,7 @@ def estimate_witness(counts_a: CountsTable, counts_b: CountsTable,
     var_b = p_b * (1.0 - p_b) / counts_b.shots
     estimate = 3.0 - 2.0 * (p_a + p_b)
     std_error = float(np.sqrt(4.0 * var_a + 4.0 * var_b))
-    return WitnessEstimate(estimate, std_error, p_a, p_b,
+    upper_bound = estimate + 2.0 * float(np.sqrt(
+        np.log(1.0 / DETECTION_DELTA) * (1.0 / counts_a.shots + 1.0 / counts_b.shots) / 2.0))
+    return WitnessEstimate(estimate, std_error, upper_bound, p_a, p_b,
                            counts_a.shots, counts_b.shots)

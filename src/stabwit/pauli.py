@@ -138,39 +138,49 @@ class GeneratorSet:
     generators: tuple[PauliString, ...]
 
     def __post_init__(self) -> None:
-        if len(self.generators) != self.n:
+        n = self.n
+        if len(self.generators) != n:
             raise DomainError("need exactly n generators")
-        if any(g.n != self.n for g in self.generators):
+        masks = [(g.x_bits, g.z_bits) for g in self.generators if g.n == n]
+        if len(masks) != n:
             raise DimensionError("generator qubit counts differ from n")
-        for i, a in enumerate(self.generators):
-            for b in self.generators[i + 1:]:
-                if not a.commutes(b):
+        # the symplectic product of every pair, as ``commutes`` takes it
+        for i, (ax, az) in enumerate(masks):
+            for bx, bz in masks[i + 1:]:
+                if ((ax & bz).bit_count() + (az & bx).bit_count()) & 1:
                     raise DomainError("generators must pairwise commute")
-        if _symplectic_rank(self.generators) != self.n:
+        # full rank of the (x|z) rows: no nonempty subset multiplies to
+        # the identity letters
+        if len(gf2_reduce([x << n | z for x, z in masks])) != n:
             raise DomainError("generators must be independent")
-
-
-def _symplectic_rank(paulis: Iterable[PauliString]) -> int:
-    """GF(2) rank of the (x|z) rows; full rank means no nonempty subset
-    multiplies to the identity letters."""
-    return len(gf2_reduce((p.x_bits << p.n) | p.z_bits for p in paulis))
 
 
 def gf2_reduce(rows: Iterable[int]) -> dict[int, int]:
     """Reduced row echelon form of bit rows over GF(2), as a map from each
     pivot, the lowest set bit of its row, to that row; no other row holds
-    the pivot.  The number of rows kept is the rank."""
+    the pivot.  The number of rows kept is the rank.
+
+    A kept row holds no pivot but its own, so a new row is cleared of the
+    pivots it holds by one XOR each, and no XOR brings in another pivot.
+    The kept rows only ever hold bits of the rows kept so far, so a new
+    pivot none of those set needs no back-substitution.
+    """
     reduced: dict[int, int] = {}
+    pivots = seen = 0
     for row in rows:
-        for pivot, done in reduced.items():
-            if row & pivot:
-                row ^= done
+        held = row & pivots
+        while held:
+            row ^= reduced[held & -held]
+            held &= held - 1
         if row:
             pivot = row & -row
-            for other, done in reduced.items():
-                if done & pivot:
-                    reduced[other] = done ^ row
+            if pivot & seen:
+                for other, done in reduced.items():
+                    if done & pivot:
+                        reduced[other] = done ^ row
             reduced[pivot] = row
+            pivots |= pivot
+            seen |= row
     return reduced
 
 

@@ -23,11 +23,12 @@ the target mixed with white noise at fraction p it is the line
 
 where <W>_0 is the value on the pure target, read off the two settings'
 Born distributions on the pure target, the ones ``simulate`` mixes and
-samples from.  A projector onto the joint +1 eigenspace of m independent
+samples from.  Those distributions are built from the target's stabilizer
+generators (``measurement.stabilizer_distributions``), not from its
+statevector, so they are exact dyadics and <W>_0 is exactly -1.  A projector onto the joint +1 eigenspace of m independent
 generators has trace 2^(n-m), which gives tr(W)/2^n.  ``noise_threshold``
 builds the line once and its report carries it, so a command that needs
-both a noisy value and the threshold builds one target and one pair of
-distributions.
+both a noisy value and the threshold builds one pair of distributions.
 
 The noise tolerance is the largest white-noise fraction at which the
 expectation on the noisy target is still negative: the root of that line.
@@ -47,7 +48,7 @@ from scipy.optimize import brentq
 
 from .errors import DomainError, NumericError
 from .families import FAMILIES, get_family
-from .measurement import setting_distributions
+from .measurement import stabilizer_distributions
 from .pauli import GeneratorSet, PauliString, generators_for, subgroup_product
 from .states import StateVector
 
@@ -111,7 +112,8 @@ def build_witness(family: str, n: int) -> Witness:
 
 
 def target_state(family: str, n: int) -> StateVector:
-    """The pure state the family's witness is built around."""
+    """The pure state the family's witness is built around, as a dense
+    statevector; the exact values never need it."""
     return get_family(family).target(n)
 
 
@@ -143,17 +145,19 @@ def witness_line(family: str, n: int, pure: float) -> WitnessLine:
 
 def _target_line(family: str, n: int) -> WitnessLine:
     """The line through the value read off the settings' Born distributions
-    on the pure target."""
-    return witness_line(family, n, setting_distributions(target_state(family, n), family)[2])
+    on the pure target, built from its stabilizer generators."""
+    pure = stabilizer_distributions(generators_for(family, n), family)[2]
+    return witness_line(family, n, pure)
 
 
 def noisy_target_expectation(family: str, n: int, p_noise: float) -> float:
     """Exact <W> on the family target mixed with white noise at fraction p.
 
     The value on the pure target is fixed by the even-parity mass of the two
-    settings' exact outcome distributions, and white noise moves it along
-    the witness line; the test suite pins it against the projector
-    expectation on the statevector and the full Pauli decomposition.
+    settings' exact outcome distributions, built from the target's
+    generators, and white noise moves it along the witness line; the test
+    suite pins it against the projector expectation on the statevector and
+    the full Pauli decomposition.
     """
     if not 0.0 <= p_noise <= 1.0:
         raise DomainError(f"noise fraction must lie in [0, 1], got {p_noise}")

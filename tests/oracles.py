@@ -36,7 +36,15 @@ from stabwit.bisep import (
     _minimal_eigvec,
 )
 from stabwit.errors import ContractError, DimensionError, DomainError
-from stabwit.measurement import _even_parity, _setting_generators, _support_columns
+from stabwit.measurement import (
+    MeasurementSetting,
+    _even_parity,
+    _setting_generators,
+    _setting_of,
+    _support_columns,
+    _witness_value,
+    outcome_distribution,
+)
 from stabwit.pauli import PauliString
 from stabwit.states import StateVector, _apply_raw
 
@@ -246,6 +254,29 @@ def estimate_from_distributions(dist_a: np.ndarray, dist_b: np.ndarray,
     p_a, p_b = (float(dist[_even_parity(outcomes, _support_columns(gens))].sum())
                 for dist, gens in zip((dist_a, dist_b), _setting_generators(family, n)))
     return 3.0 - 2.0 * (p_a + p_b)
+
+
+def setting_distributions(state, family: str) -> tuple[
+        tuple[MeasurementSetting, MeasurementSetting], tuple[np.ndarray, np.ndarray], float]:
+    """The family's two settings, their Born distributions on the state, and
+    the exact witness value those distributions fix, with the generators
+    derived once."""
+    n = state.n
+    gens = _setting_generators(family, n)
+    settings = _setting_of(n, gens[0]), _setting_of(n, gens[1])
+    dists = outcome_distribution(state, settings[0]), outcome_distribution(state, settings[1])
+    return settings, dists, _witness_value(*dists, n, gens)
+
+
+def projected_stabilizer_state(rng: np.random.Generator, generators) -> StateVector:
+    """The joint +1 eigenstate of n independent commuting generators: a
+    random vector projected by prod (1 + g)/2 with dense Kronecker
+    matrices, then normalised."""
+    n = generators[0].n
+    vec = random_state_vector(rng, n)
+    for g in generators:
+        vec = (vec + g.phase * (dense_pauli(g.ops) @ vec)) / 2.0
+    return StateVector(n, vec / np.linalg.norm(vec))
 
 
 def formatted_counts(drawn: np.ndarray, n: int) -> dict:

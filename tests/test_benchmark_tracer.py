@@ -49,25 +49,26 @@ def test_certify_spans_under_the_benchmark_tracer():
 
 
 def test_simulate_samples_and_scores_one_pair_of_distributions(tmp_path):
-    """One target, one Born distribution per setting for both the draw and
-    the exact value, no projection of the statevector."""
+    """The draw and the exact value share one Born distribution per
+    setting, built from the generators: no statevector, no rotation."""
     code, spans = traced_spans(["simulate", "--family", "ghz", "--n", "8",
                                 "--counts-out", str(tmp_path / "counts")])
     assert code == 0
-    expected = {"cli.main": 1, "witnesses.target_state": 1,
-                "measurement.outcome_distribution": 2,
+    expected = {"cli.main": 1, "witnesses.target_state": 0,
+                "measurement.outcome_distribution": 0,
                 "states.stabilizer_projector_expectation": 0,
                 "measurement.counts_save": 2}
     assert {name: spans.get(name, 0) for name in expected} == expected
 
 
 def test_eval_reads_value_and_threshold_off_one_pair_of_distributions(tmp_path):
-    """The value and the threshold share one witness line: one target and
-    one Born distribution per setting."""
+    """The value and the threshold share one witness line, read off the
+    settings' Born distributions built from the generators: no
+    statevector, no rotation."""
     code, spans = traced_spans(["eval", "--family", "ghz", "--n", "8", "--p-noise", "0.2",
                                 "--out", str(tmp_path / "eval.json")])
     assert code == 0
-    expected = {"cli.main": 1, "witnesses.target_state": 1,
-                "measurement.outcome_distribution": 2,
+    expected = {"cli.main": 1, "witnesses.target_state": 0,
+                "measurement.outcome_distribution": 0,
                 "states.stabilizer_projector_expectation": 0}
     assert {name: spans.get(name, 0) for name in expected} == expected

@@ -1,6 +1,7 @@
-"""Fuzzed counts tables: the loader raises only the package's errors, and
-``simulate --ingest`` exits 0 or 1 with an ``error:`` line, never a
-traceback.  Tables stay at n <= 6 so that no case is slow."""
+"""Fuzzed counts tables and command lines: the loader raises only the
+package's errors, ``simulate --ingest`` exits 0 or 1 with an ``error:``
+line, and any command line exits 0, 1 or 2, never with a traceback.
+Tables and registers stay at n <= 6 so that no case is slow."""
 import contextlib
 import io
 import json
@@ -81,3 +82,59 @@ def test_ingest_of_fuzzed_files_fails_cleanly(contents):
         assert out.getvalue() == ""
     else:
         assert err.getvalue() == ""
+
+
+# command lines from a small vocabulary: every command, every flag, small
+# sizes, out-of-range numbers and junk tokens
+COMMANDS = st.sampled_from(["table", "eval", "simulate", "certify", "help", ""])
+FLAGS = st.sampled_from(["--family", "--n", "--p-noise", "--shots", "--seed", "--restarts",
+                         "--check", "--negate", "--format", "--out", "--counts-out",
+                         "--ingest", "--version", "--help", "-n", "--"])
+NUMBERS = (st.integers(-2, MAX_N).map(str)
+           | st.sampled_from(["2..4", "3..2", "2..", "1..17", "0.5", "1e3", "nan", "-inf",
+                              str(2 ** 63), str(2 ** 128), "1" + "0" * 5000]))
+VALUES = st.sampled_from(["ghz", "cluster", "both", "json", "csv", "text", "0", "0.1", "1",
+                          "1.5", "1000", "0x10", "", " ", "é", "--n=3"])
+
+
+@st.composite
+def command_lines(draw):
+    """A command, most often with a valid family and size, then flags with
+    up to two values each."""
+    argv = [draw(COMMANDS)]
+    if draw(st.booleans()) or draw(st.booleans()):
+        argv += ["--family", draw(st.sampled_from(["ghz", "cluster"])),
+                 "--n", str(draw(st.integers(2, MAX_N)))]
+    for _ in range(draw(st.integers(0, 3))):
+        argv.append(draw(FLAGS))
+        argv += draw(st.lists(NUMBERS | VALUES, max_size=2))
+    return argv
+
+
+def _bounded(argv):
+    """The drawn line with its sizes held small: n <= 6, shots <= 1000,
+    restarts <= 2, so that no valid case is slow."""
+    out = list(argv)
+    for i, token in enumerate(out[:-1]):
+        value = out[i + 1]
+        if value.lstrip("-").isdigit() and len(value) < 30:
+            limit = {"--n": MAX_N, "--shots": 1000, "--restarts": 2}.get(token)
+            if limit is not None and int(value) > limit:
+                out[i + 1] = str(limit)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(command_lines())
+def test_cli_argument_space_exits_cleanly(argv):
+    """Any command line exits 0, 1 or 2 with no traceback; output paths
+    point into a scratch directory."""
+    argv = _bounded(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [str(Path(tmp) / "out") if prev in ("--out", "--counts-out") else token
+                for prev, token in zip([""] + argv, argv)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

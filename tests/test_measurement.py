@@ -18,7 +18,6 @@ from stabwit import (
     noisy_target_expectation,
     outcome_distribution,
     sample_outcomes,
-    setting_distributions,
     settings_for,
     target_state,
     white_noise_mix,
@@ -33,6 +32,7 @@ from oracles import (
     formatted_counts,
     loop_pass_fraction,
     random_state_vector,
+    setting_distributions,
     setting_measures,
 )
 

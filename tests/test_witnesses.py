@@ -18,7 +18,6 @@ from stabwit import (
     make_ghz,
     noise_threshold,
     noisy_target_expectation,
-    setting_distributions,
     settings_for,
     stabilizer_projector_expectation,
     target_state,
@@ -33,6 +32,7 @@ from oracles import (
     dense_witness_from_projectors,
     ghz_generator_letters,
     random_state_vector,
+    setting_distributions,
     setting_measures,
 )
 
@@ -274,15 +274,16 @@ class TestNoisyTargetExpectation:
     @pytest.mark.parametrize("n", range(2, 17))
     def test_line_matches_the_mixed_distributions(self, family, n):
         """The witness line against the even-parity mass of the noisy
-        target's own Born distributions, at the threshold and on a grid;
-        at p = 0 both read the same distributions."""
+        target's own dense Born distributions, at the threshold and on a
+        grid; the line's pure value, read off the distributions built from
+        the generators, is exactly -1."""
         line = noise_threshold(family, n).line
         target = target_state(family, n)
         for p in [k / 20 for k in range(21)] + [get_family(family).closed_form_threshold(n)]:
             mixed = setting_distributions(white_noise_mix(p, target), family)[2]
             assert abs(line.at(p) - mixed) <= 1e-14
             assert noisy_target_expectation(family, n, p) == line.at(p)
-        assert line.at(0.0) == setting_distributions(white_noise_mix(0.0, target), family)[2]
+        assert line.pure == -1.0
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
