@@ -138,21 +138,22 @@ class GeneratorSet:
     generators: tuple[PauliString, ...]
 
     def __post_init__(self) -> None:
-        n = self.n
-        if len(self.generators) != n:
+        if len(self.generators) != self.n:
             raise DomainError("need exactly n generators")
-        masks = [(g.x_bits, g.z_bits) for g in self.generators if g.n == n]
-        if len(masks) != n:
+        if any(g.n != self.n for g in self.generators):
             raise DimensionError("generator qubit counts differ from n")
-        # the symplectic product of every pair, as ``commutes`` takes it
-        for i, (ax, az) in enumerate(masks):
-            for bx, bz in masks[i + 1:]:
-                if ((ax & bz).bit_count() + (az & bx).bit_count()) & 1:
+        for i, a in enumerate(self.generators):
+            for b in self.generators[i + 1:]:
+                if not a.commutes(b):
                     raise DomainError("generators must pairwise commute")
-        # full rank of the (x|z) rows: no nonempty subset multiplies to
-        # the identity letters
-        if len(gf2_reduce([x << n | z for x, z in masks])) != n:
+        if _symplectic_rank(self.generators) != self.n:
             raise DomainError("generators must be independent")
+
+
+def _symplectic_rank(paulis: Iterable[PauliString]) -> int:
+    """GF(2) rank of the (x|z) rows; full rank means no nonempty subset
+    multiplies to the identity letters."""
+    return len(gf2_reduce([(p.x_bits << p.n) | p.z_bits for p in paulis]))
 
 
 def gf2_reduce(rows: Iterable[int]) -> dict[int, int]:

@@ -25,8 +25,9 @@ where <W>_0 is the value on the pure target, read off the two settings'
 Born distributions on the pure target, the ones ``simulate`` mixes and
 samples from.  Those distributions are built from the target's stabilizer
 generators (``measurement.stabilizer_distributions``), not from its
-statevector, so they are exact dyadics and <W>_0 is exactly -1.  A projector onto the joint +1 eigenspace of m independent
-generators has trace 2^(n-m), which gives tr(W)/2^n.  ``noise_threshold``
+statevector, so they are exact dyadics and <W>_0 is exactly -1.  A
+projector onto the joint +1 eigenspace of m independent generators has
+trace 2^(n-m), which gives tr(W)/2^n.  ``noise_threshold``
 builds the line once and its report carries it, so a command that needs
 both a noisy value and the threshold builds one pair of distributions.
 

@@ -5,6 +5,7 @@ import sys
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
 from stabwit.cli import main
@@ -135,6 +136,33 @@ class TestSimulate:
         assert record["estimate"] == pytest.approx(-1.0)
         assert record["detected"] is True
 
+    def test_one_shot_is_not_a_detection(self, tmp_path, capsys):
+        """One shot per setting gives estimate -1 with plug-in error 0, but
+        the Hoeffding bound stays far above zero."""
+        out_path = tmp_path / "sim.json"
+        code, out, _ = run(["simulate", "--family", "ghz", "--n", "3", "--shots", "1",
+                            "--out", str(out_path)], capsys)
+        assert code == 0
+        assert "not detected (insufficient statistics)" in out
+        record = json.loads(out_path.read_text())
+        assert (record["estimate"], record["std_error"]) == (-1.0, 0.0)
+        assert record["upper_bound"] >= 0.0
+        assert record["detected"] is False
+        assert record["verdict"] == "not detected (insufficient statistics)"
+
+    @pytest.mark.parametrize("family", ["ghz", "cluster"])
+    def test_many_shots_without_noise_are_a_detection(self, family, tmp_path, capsys):
+        out_path = tmp_path / "sim.json"
+        code, out, _ = run(["simulate", "--family", family, "--n", "5", "--shots", "100000",
+                            "--p-noise", "0", "--out", str(out_path)], capsys)
+        assert code == 0
+        assert ": detected" in out
+        record = json.loads(out_path.read_text())
+        margin = 2.0 * np.sqrt(np.log(1e3) * (2.0 / 100000) / 2.0)
+        assert record["upper_bound"] == pytest.approx(record["estimate"] + margin, abs=1e-15)
+        assert record["upper_bound"] < 0.0
+        assert record["detected"] is True
+
     def test_byte_identical_given_seed(self, tmp_path, capsys):
         path = tmp_path / "record.json"
         argv = ["simulate", "--family", "cluster", "--n", "4",
@@ -166,6 +194,7 @@ class TestSimulate:
         ingest_record = json.loads(ingested.read_text())
         assert ingest_record["estimate"] == direct_record["estimate"]
         assert ingest_record["std_error"] == direct_record["std_error"]
+        assert ingest_record["upper_bound"] == direct_record["upper_bound"]
         assert ingest_record["exact"] is None
 
     def test_ingest_wrong_family_fails_at_runtime(self, tmp_path, capsys):

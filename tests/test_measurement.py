@@ -1,4 +1,6 @@
 """Measurement settings, outcome sampling, and the two-setting estimator."""
+import types
+
 import numpy as np
 import pytest
 
@@ -7,18 +9,22 @@ from stabwit import (
     CountsTable,
     DimensionError,
     DomainError,
+    GeneratorSet,
     MeasurementSetting,
+    NumericError,
     PauliString,
     StateVector,
     draw_counts,
     estimate_witness,
     expectation,
+    generators_for,
     make_cluster,
     make_ghz,
     noisy_target_expectation,
     outcome_distribution,
     sample_outcomes,
     settings_for,
+    stabilizer_distributions,
     target_state,
     white_noise_mix,
 )
@@ -144,6 +150,101 @@ class TestOutcomeDistribution:
             for s in (state, white_noise_mix(float(rng.uniform(0, 1)), state)):
                 assert np.array_equal(outcome_distribution(s, setting),
                                       copying_outcome_distribution(s, setting))
+
+
+def _signed(gens, signs):
+    """The generators with generator k negated where bit k of signs is set."""
+    return GeneratorSet(gens[0].n, tuple(
+        PauliString(g.n, g.x_bits, g.z_bits, (g.phase_exp + 2 * (signs >> k & 1)) % 4)
+        for k, g in enumerate(gens)))
+
+
+def _product_generators(n, letter, signs):
+    """+-Z_k (or +-X_k) on every site k: a product state."""
+    bits = [1 << (n - k) for k in range(1, n + 1)]
+    return _signed([PauliString(n, b if letter == "X" else 0, b if letter == "Z" else 0, 0)
+                    for b in bits], signs)
+
+
+class TestStabilizerDistributions:
+    """The Born distributions built from the generators alone against the
+    dense route: the statevector rotated into each setting and squared."""
+
+    @pytest.mark.parametrize("family", ["ghz", "cluster"])
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_target_against_the_dense_route(self, family, n):
+        settings, dists, value = stabilizer_distributions(generators_for(family, n), family)
+        dense_settings, dense_dists, _ = setting_distributions(target_state(family, n), family)
+        assert settings == dense_settings
+        assert value == -1.0
+        for dist, dense in zip(dists, dense_dists):
+            support = np.flatnonzero(dist)
+            assert np.array_equal(support, np.flatnonzero(dense > 1e-12))
+            assert np.max(np.abs(dist - dense)) <= 1e-15
+            # uniform on 2^(n-r) outcomes: every entry the same exact dyadic
+            n_minus_r = support.size.bit_length() - 1
+            assert support.size == 1 << n_minus_r
+            assert np.all(dist[support] == 2.0 ** -n_minus_r)
+            assert dist.sum() == 1.0
+
+    @staticmethod
+    def assert_matches_projected_state(gens, family, rng):
+        """Against the dense state a random vector projected by prod (1+g)/2
+        gives: same support, probabilities and witness value."""
+        _, dists, value = stabilizer_distributions(gens, family)
+        state = oracles.projected_stabilizer_state(rng, gens.generators)
+        _, dense_dists, dense_value = setting_distributions(state, family)
+        for dist, dense in zip(dists, dense_dists):
+            assert np.array_equal(np.flatnonzero(dist), np.flatnonzero(dense > 1e-9))
+            assert np.max(np.abs(dist - dense)) <= 1e-12
+            assert dist.sum() == 1.0
+        assert abs(value - dense_value) <= 1e-12
+        return value
+
+    @pytest.mark.parametrize("family", ["ghz", "cluster"])
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_other_family_in_this_familys_settings(self, family, n, rng):
+        other = "cluster" if family == "ghz" else "ghz"
+        value = self.assert_matches_projected_state(generators_for(other, n), family, rng)
+        assert value > -1.0
+
+    @pytest.mark.parametrize("family", ["ghz", "cluster"])
+    @pytest.mark.parametrize("letter", ["Z", "X"])
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_product_states_with_signs(self, family, letter, n, rng):
+        for signs in (0, (1 << n) - 1, int(rng.integers(1 << n))):
+            self.assert_matches_projected_state(_product_generators(n, letter, signs),
+                                                family, rng)
+
+    @pytest.mark.parametrize("family", ["ghz", "cluster"])
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_negated_generators(self, family, n, rng):
+        """Negated generators move the outcomes by an offset, and the
+        witness value off -1."""
+        gens = generators_for(family, n).generators
+        for signs in (0b10, 1 << (n - 1), int(rng.integers(1, 1 << n))):
+            value = self.assert_matches_projected_state(_signed(gens, signs), family, rng)
+            assert value > -1.0
+
+    def test_negated_pair_gives_odd_parity(self):
+        """GHZ with -Z1Z2: (|01> + |10>)/sqrt(2) in the z setting."""
+        gens = _signed(generators_for("ghz", 2).generators, 0b10)
+        _, (dist_x, dist_z), _ = stabilizer_distributions(gens, "ghz")
+        assert dist_z.tolist() == [0.0, 0.5, 0.5, 0.0]
+        assert dist_x.tolist() == [0.5, 0.0, 0.0, 0.5]
+
+    def test_inconsistent_parities_raise(self):
+        """+Z1Z2 and -Z1Z2 fix both parities on one support; the generator
+        set check rejects them, so the routine sees them only directly."""
+        zz = PauliString.from_ops("ZZ")
+        gens = types.SimpleNamespace(n=2, generators=(zz, PauliString.from_ops("ZZ", -1)))
+        with pytest.raises(NumericError):
+            stabilizer_distributions(gens, "ghz")
+
+    def test_imaginary_phase_raises(self):
+        gens = GeneratorSet(2, (PauliString.from_ops("ZI", 1j), PauliString.from_ops("IZ")))
+        with pytest.raises(NumericError):
+            stabilizer_distributions(gens, "ghz")
 
 
 class TestSampling:
