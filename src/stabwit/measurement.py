@@ -54,7 +54,7 @@ import numpy as np
 from .errors import ContractError, DimensionError, DomainError, NumericError
 from .families import get_family
 from .jsontext import dumps
-from .pauli import GeneratorSet, PauliString, generators_for, gf2_reduce
+from .pauli import GeneratorSet, PauliString, gf2_reduce
 from .states import NoisyState, State
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
@@ -88,8 +88,9 @@ class MeasurementSetting:
 def _setting_generators(family: str, n: int) -> tuple[list[PauliString], list[PauliString]]:
     """The generators behind each projector, ordered by the setting (A, B)
     that measures them: setting A measures the projector holding generator 1."""
-    gens = generators_for(family, n).generators
-    sets = get_family(family).projector_sets(n)
+    record = get_family(family)
+    gens = record.generators(n).generators
+    sets = record.projector_sets(n)
     if 1 not in sets[0]:
         sets = sets[::-1]
     return tuple([gens[k - 1] for k in indices] for indices in sets)
