@@ -128,7 +128,7 @@ def _bounded(argv):
 @given(command_lines())
 def test_cli_argument_space_exits_cleanly(argv):
     """Any command line exits 0, 1 or 2 with no traceback; output paths
-    point into a scratch directory."""
+    point into a temporary directory."""
     argv = _bounded(argv)
     with tempfile.TemporaryDirectory() as tmp:
         argv = [str(Path(tmp) / "out") if prev in ("--out", "--counts-out") else token
